@@ -170,6 +170,10 @@ def _run_table(args: argparse.Namespace) -> int:
 
 def _run_verify(args: argparse.Namespace) -> int:
     report: VerifyReport
+    if args.check in ("automorphism", "faa-di-bruno") and args.trials < 1:
+        # each case of these sweeps is one trial: no trials would be a vacuous pass
+        print("formalcalc: --trials must be at least 1", file=sys.stderr)
+        return 2
     if args.check == "automorphism":
         report = verify_automorphism(
             trials=args.trials,

@@ -3,13 +3,17 @@
 Three interlocking combinatorial families drive the closed-form expansions:
 
 * ``stirling1(k, j)`` — unsigned Stirling numbers of the first kind,
-  computed from the composition-sum definition
-  (k!/j!) * sum 1/(i_1*...*i_j) over positive i_1+...+i_j = k.
-  ``stirling1_by_recurrence`` is the classical independent cross-check
-  c(k, j) = c(k-1, j-1) + (k-1)*c(k-1, j).
+  read from rows built by the recurrence
+  c(k, j) = c(k-1, j-1) + (k-1)*c(k-1, j)
+  (Graham, Knuth and Patashnik, *Concrete Mathematics*, section 6.1).
+  The composition-sum definition
+  (k!/j!) * sum 1/(i_1*...*i_j) over positive i_1+...+i_j = k
+  is kept as the oracle ``stirling1_by_compositions``.
 
 * ``signed_esym(m, n)`` — (-1)^m times the m-th elementary symmetric
-  function of 0, 1, ..., m+n-1; equals (-1)^m * stirling1(m+n, n).
+  function of 0, 1, ..., m+n-1, built in one pass over the values;
+  equals (-1)^m * stirling1(m+n, n).  ``signed_esym_by_combinations`` is
+  the defining sum over m-subsets, kept as the oracle.
 
 * ``stirling_chain(j_n, ..., j_0)`` — the chain-indexed recursion whose
   value factors as the product of stirling1(j_i, j_{i+1}) down the chain
@@ -20,14 +24,14 @@ Three interlocking combinatorial families drive the closed-form expansions:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
 from typing import Iterator, Sequence
 
 from .report import VerifyReport
 
-_STIRLING: dict[tuple[int, int], int] = {}
+# Row k holds stirling1(k, j) for j = 0..k; rows are appended on demand.
+_STIRLING: list[list[int]] = [[1]]
 _CHAIN: dict[tuple[int, ...], int] = {}
 
 
@@ -43,19 +47,37 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 def stirling1(k: int, j: int) -> int:
-    """Unsigned Stirling number of the first kind, by the composition sum."""
+    """Unsigned Stirling number of the first kind, from the row recurrence."""
     if k < 0 or j < 0:
         raise ValueError("stirling1 arguments must be nonnegative")
     if j > k:
         return 0
-    if (k, j) not in _STIRLING:
-        total = sum(
-            Fraction(1, prod(c)) for c in _compositions(k, j)
-        ) if k else Fraction(j == 0)
-        value = Fraction(factorial(k), factorial(j)) * total
-        assert value.denominator == 1
-        _STIRLING[(k, j)] = int(value)
-    return _STIRLING[(k, j)]
+    rows = _STIRLING
+    while len(rows) <= k:
+        prev, n = rows[-1], len(rows) - 1
+        rows.append([a + n * b for a, b in zip([0] + prev, prev + [0])])
+    return rows[k][j]
+
+
+def stirling1_by_compositions(k: int, j: int) -> int:
+    """The same numbers from the composition-sum definition; test oracle.
+
+    (k!/j!) * sum 1/(i_1*...*i_j) over positive i_1+...+i_j = k.  Each
+    k!/(i_1*...*i_j) is an integer (the parts' product divides k!), so the
+    sum is exact in integers; the division by j! must leave no remainder.
+    """
+    if k < 0 or j < 0:
+        raise ValueError("stirling1 arguments must be nonnegative")
+    if j > k:
+        return 0
+    if k == 0:
+        return 1
+    kf = factorial(k)
+    total = sum(kf // prod(c) for c in _compositions(k, j))
+    value, remainder = divmod(total, factorial(j))
+    if remainder:
+        raise ArithmeticError(f"composition sum for ({k}, {j}) is not an integer")
+    return value
 
 
 def stirling1_by_recurrence(k: int, j: int) -> int:
@@ -80,11 +102,26 @@ def stirling_rows(max_k: int) -> list[list[int]]:
 
 
 def signed_esym(m: int, n: int) -> int:
-    """(-1)^m times the elementary symmetric sum e_m(0, 1, ..., m+n-1)."""
+    """(-1)^m times the elementary symmetric sum e_m(0, 1, ..., m+n-1).
+
+    One pass over the values v = 1..m+n-1 (v = 0 adds nothing), updating
+    e_j += v * e_{j-1} from the top down: O(m * (m+n)) operations.
+    """
     if m < 0 or n < 0:
         raise ValueError("signed_esym arguments must be nonnegative")
-    total = sum(prod(c) for c in combinations(range(m + n), m))
+    e = [1] + [0] * m
+    for v in range(1, m + n):
+        for j in range(min(v, m), 0, -1):
+            e[j] += v * e[j - 1]
+    total = e[m]
     return (-1) ** m * total
+
+
+def signed_esym_by_combinations(m: int, n: int) -> int:
+    """The same sums over every m-subset of {0, ..., m+n-1}; test oracle."""
+    if m < 0 or n < 0:
+        raise ValueError("signed_esym arguments must be nonnegative")
+    return (-1) ** m * sum(prod(c) for c in combinations(range(m + n), m))
 
 
 def stirling_chain(chain: Sequence[int]) -> int:
@@ -167,6 +204,10 @@ def verify_lubell(max_n: int = 8, max_pair_sum: int | None = None) -> VerifyRepo
     {0, ..., n-1} must coincide.  Also checks the bracket form of the
     signed symmetric sums, (m;n) = (-1)^m stirling1(m+n, n), for
     m + n <= max_pair_sum (default max_n + 2).
+
+    Each half keeps one side on a definition, so that no check compares
+    a recurrence with itself: the subset sum in the first half, and the
+    composition sum for the Stirling side of the bracket form.
     """
     if max_pair_sum is None:
         max_pair_sum = max_n + 2
@@ -175,7 +216,7 @@ def verify_lubell(max_n: int = 8, max_pair_sum: int | None = None) -> VerifyRepo
         for m in range(1, n + 1):
             chain = stirling_chain((m, n))
             bracket = stirling1(n, m)
-            esym = sum(prod(c) for c in combinations(range(n), n - m))
+            esym = (-1) ** (n - m) * signed_esym_by_combinations(n - m, m)
             cases += 1
             if not chain == bracket == esym:
                 return VerifyReport(
@@ -188,7 +229,7 @@ def verify_lubell(max_n: int = 8, max_pair_sum: int | None = None) -> VerifyRepo
                 continue
             cases += 1
             lhs = signed_esym(m, n)
-            rhs = (-1) ** m * stirling1(m + n, n)
+            rhs = (-1) ** m * stirling1_by_compositions(m + n, n)
             if lhs != rhs:
                 return VerifyReport(
                     "lubell", False, cases,

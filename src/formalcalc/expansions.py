@@ -30,7 +30,7 @@ from typing import Iterator
 
 from .algebra import Element, Exponent, Monomial, YSeries, binom
 from .combinatorics import signed_esym, stirling1, stirling_chain
-from .params import ParamPoly, Scalar
+from .params import Coeff, ParamPoly, Scalar, canonical_coeff
 
 FORMS = ("stirling", "chain", "symmetric")
 
@@ -99,7 +99,7 @@ def _compositions_nonneg(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 def _tower_monomial(n: int, e: Exponent, drops: tuple[int, ...]) -> Monomial:
     """l_n^(e - drops[n]) * prod_{i<n} l_i^(-drops[i])."""
     powers: list[tuple[int, Exponent]] = [(n, e - drops[n])]
-    powers.extend((i, Exponent(-drops[i])) for i in range(n))
+    powers.extend((i, Exponent.of(-drops[i])) for i in range(n))
     return Monomial(tuple(powers))
 
 
@@ -114,7 +114,9 @@ def iterated_log_series(
     if form not in FORMS:
         raise ValueError(f"unknown formula {form!r}; choose from {FORMS}")
     e = Exponent.of(exponent)
-    coeffs = [Element.zero() for _ in range(order + 1)]
+    binoms = [canonical_coeff(binom(e, j)) for j in range(order + 1)]
+    # terms[k] collects the (monomial, coefficient) pairs of y^k
+    terms: list[list[tuple[Monomial, Coeff]]] = [[] for _ in range(order + 1)]
 
     if form == "stirling":
         for j0 in range(order + 1):
@@ -132,11 +134,10 @@ def iterated_log_series(
                     * (-1) ** (j0 + jn)
                     * weight
                 )
-                coeff = binom(e, jn) * scale
-                coeffs[j0] = coeffs[j0] + Element({_tower_monomial(n, e, tup): coeff})
+                terms[j0].append((_tower_monomial(n, e, tup), binoms[jn] * scale))
 
     elif form == "chain":
-        coeffs[0] = Element.gen(n, e)
+        terms[0].append((Monomial.gen(n, e), 1))
         for k in range(1, order + 1):
             for js in _descending_from(k, n, 1):
                 tup = (k,) + js  # (j_0=k, j_1, ..., j_n), all >= 1
@@ -149,8 +150,7 @@ def iterated_log_series(
                     * (-1) ** (k + jn)
                     * s_value
                 )
-                coeff = binom(e, jn) * scale
-                coeffs[k] = coeffs[k] + Element({_tower_monomial(n, e, tup): coeff})
+                terms[k].append((_tower_monomial(n, e, tup), binoms[jn] * scale))
 
     else:  # symmetric
         for k in range(order + 1):
@@ -163,11 +163,10 @@ def iterated_log_series(
                     continue
                 jn = js[n]
                 scale = Fraction(factorial(jn), factorial(k)) * weight
-                coeff = binom(e, jn) * scale
                 mono = _tower_monomial(n, e, tuple(suffix[: n + 1]))
-                coeffs[k] = coeffs[k] + Element({mono: coeff})
+                terms[k].append((mono, binoms[jn] * scale))
 
-    return YSeries(coeffs)
+    return YSeries([Element.from_terms(t) for t in terms])
 
 
 def closed_form_series(a: Element, order: int, form: str = "stirling") -> YSeries:

@@ -48,15 +48,37 @@ def _merge(a: SymKey, b: SymKey) -> SymKey:
     return tuple(sorted((i, e) for i, e in acc.items() if e))
 
 
+def _step(key: SymKey, pos: int) -> SymKey:
+    """``key`` with one power of the symbol at ``pos`` moved to the next index."""
+    i, e = key[pos]
+    head = key[:pos] + ((i, e - 1),) if e > 1 else key[:pos]
+    rest = key[pos + 1 :]
+    if rest and rest[0][0] == i + 1:
+        return head + ((i + 1, rest[0][1] + 1),) + rest[1:]
+    return head + ((i + 1, 1),) + rest
+
+
+def _times_x1(xs: SymKey) -> SymKey:
+    """``xs`` with one more power of x_1, the lowest inner index."""
+    if xs and xs[0][0] == 1:
+        return ((1, xs[0][1] + 1),) + xs[1:]
+    return ((1, 1),) + xs
+
+
 class FdbPoly:
-    """Polynomial in the composite-derivative alphabet y_0, y_1, ..., x_1, x_2, ..."""
+    """Polynomial in the composite-derivative alphabet y_0, y_1, ..., x_1, x_2, ...
+
+    A coefficient is held as an ``int`` when it is given as one, and as a
+    ``Fraction`` otherwise; the two forms of one value compare equal.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[TermKey, Fraction | int] | None = None):
-        self._terms: dict[TermKey, Fraction] = {}
+        self._terms: dict[TermKey, Fraction | int] = {}
         for key, c in (terms or {}).items():
-            c = Fraction(c)
+            if type(c) is not int:
+                c = Fraction(c)
             if c:
                 self._terms[key] = c
 
@@ -66,26 +88,26 @@ class FdbPoly:
 
     @classmethod
     def const(cls, c: Fraction | int) -> FdbPoly:
-        return cls({((), ()): Fraction(c)})
+        return cls({((), ()): c})
 
     @classmethod
     def outer_symbol(cls, i: int) -> FdbPoly:
         """y_i, the i-th outer-derivative symbol."""
         if i < 0:
             raise ValueError("outer symbols are indexed from 0")
-        return cls({(((i, 1),), ()): Fraction(1)})
+        return cls({(((i, 1),), ()): 1})
 
     @classmethod
     def inner_symbol(cls, j: int) -> FdbPoly:
         """x_j, the j-th inner-derivative symbol."""
         if j < 1:
             raise ValueError("inner symbols are indexed from 1")
-        return cls({((), ((j, 1),)): Fraction(1)})
+        return cls({((), ((j, 1),)): 1})
 
-    def items(self) -> Iterable[tuple[TermKey, Fraction]]:
+    def items(self) -> Iterable[tuple[TermKey, Fraction | int]]:
         return self._terms.items()
 
-    def sorted_terms(self) -> list[tuple[TermKey, Fraction]]:
+    def sorted_terms(self) -> list[tuple[TermKey, Fraction | int]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
 
     def __bool__(self) -> bool:
@@ -156,21 +178,16 @@ class FdbPoly:
 
     def derive(self) -> FdbPoly:
         """Apply D (y_i -> y_{i+1} x_1, x_j -> x_{j+1}) by the Leibniz rule."""
-        out = FdbPoly.zero()
+        out: dict[TermKey, Fraction | int] = {}
         for (ys, xs), c in self._terms.items():
-            for pos, (i, e) in enumerate(ys):
-                lowered = ys[:pos] + ((i, e - 1),) + ys[pos + 1 :] if e > 1 else (
-                    ys[:pos] + ys[pos + 1 :]
-                )
-                bumped = (_merge(lowered, ((i + 1, 1),)), _merge(xs, ((1, 1),)))
-                out = out + FdbPoly({bumped: c * e})
-            for pos, (j, e) in enumerate(xs):
-                lowered = xs[:pos] + ((j, e - 1),) + xs[pos + 1 :] if e > 1 else (
-                    xs[:pos] + xs[pos + 1 :]
-                )
-                bumped = (ys, _merge(lowered, ((j + 1, 1),)))
-                out = out + FdbPoly({bumped: c * e})
-        return out
+            xs_x1 = _times_x1(xs)
+            for pos, (_, e) in enumerate(ys):
+                key = (_step(ys, pos), xs_x1)
+                out[key] = out.get(key, 0) + c * e
+            for pos, (_, e) in enumerate(xs):
+                key = (ys, _step(xs, pos))
+                out[key] = out.get(key, 0) + c * e
+        return FdbPoly({key: c for key, c in out.items() if c})
 
     def substitute_weights(self, weights: Sequence[Fraction | int]) -> QPoly:
         """Send every y_j to 1 and every x_i to weights[i-1] * x.

@@ -14,8 +14,8 @@ from importlib import resources
 from typing import Any
 
 from .algebra import Element, Exponent, Monomial, YSeries
-from .faadibruno import FdbPoly, UmbralShift
-from .params import ParamPoly
+from .faadibruno import FdbPoly, TermKey, UmbralShift
+from .params import ParamKey, ParamPoly
 from .qpoly import QPoly
 from .report import VerifyReport
 
@@ -36,11 +36,11 @@ def parampoly_to_json(p: ParamPoly) -> list[dict[str, Any]]:
 
 
 def parampoly_from_json(data: list[dict[str, Any]]) -> ParamPoly:
-    out = ParamPoly.zero()
+    out: dict[ParamKey, Fraction] = {}
     for term in data:
         key = tuple(sorted((str(n), int(p)) for n, p in term["powers"].items()))
-        out = out + ParamPoly({key: Fraction(term["coeff"])})
-    return out
+        out[key] = out.get(key, 0) + Fraction(term["coeff"])
+    return ParamPoly(out)
 
 
 def exponent_to_json(e: Exponent) -> dict[str, Any]:
@@ -67,7 +67,7 @@ def element_to_json(a: Element) -> list[dict[str, Any]]:
 
 
 def element_from_json(data: list[dict[str, Any]]) -> Element:
-    out = Element.zero()
+    pairs = []
     for term in data:
         mono = Monomial(
             tuple(
@@ -75,8 +75,8 @@ def element_from_json(data: list[dict[str, Any]]) -> Element:
                 for p in term["monomial"]
             )
         )
-        out = out + Element({mono: parampoly_from_json(term["coeff"])})
-    return out
+        pairs.append((mono, parampoly_from_json(term["coeff"])))
+    return Element.from_terms(pairs)
 
 
 def yseries_to_json(s: YSeries) -> dict[str, Any]:
@@ -113,12 +113,12 @@ def fdbpoly_to_json(p: FdbPoly) -> list[dict[str, Any]]:
 
 
 def fdbpoly_from_json(data: list[dict[str, Any]]) -> FdbPoly:
-    out = FdbPoly.zero()
+    out: dict[TermKey, Fraction] = {}
     for term in data:
         ys = tuple(sorted((int(i), int(e)) for i, e in term["outer"].items()))
         xs = tuple(sorted((int(j), int(e)) for j, e in term["inner"].items()))
-        out = out + FdbPoly({(ys, xs): Fraction(term["coeff"])})
-    return out
+        out[(ys, xs)] = out.get((ys, xs), 0) + Fraction(term["coeff"])
+    return FdbPoly(out)
 
 
 def report_to_json(r: VerifyReport) -> dict[str, Any]:

@@ -108,6 +108,17 @@ def test_negative_order_rejected():
     assert run_cli("stirling-table", "--max", "-2").returncode == 2
 
 
+def test_zero_case_sweeps_are_usage_errors():
+    for args in (
+        ("verify", "automorphism", "--trials", "-1"),
+        ("verify", "faa-di-bruno", "--trials", "0"),
+    ):
+        result = run_cli(*args)
+        assert result.returncode == 2, args
+        assert result.stdout == ""
+        assert result.stderr.startswith("formalcalc:")
+
+
 def test_umbral_bad_weights():
     result = run_cli("umbral", "--B", "1,q", "--depth", "2")
     assert result.returncode == 2

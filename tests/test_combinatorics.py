@@ -1,18 +1,22 @@
 """Stirling cycle numbers, signed symmetric sums, and the chain recursion."""
 
+import time
 from math import factorial
 
 import pytest
 
+from formalcalc import combinatorics
 from formalcalc.combinatorics import (
     signed_esym,
+    signed_esym_by_combinations,
     stirling1,
-    stirling1_by_recurrence,
+    stirling1_by_compositions,
     stirling_chain,
     stirling_rows,
     verify_chain_product,
     verify_lubell,
 )
+from formalcalc.faadibruno import derivative_tower
 
 
 def test_stirling_triangle():
@@ -37,9 +41,22 @@ def test_stirling_edges():
 
 def test_composition_sum_equals_recurrence():
     """The harmonic composition sum and the additive recurrence agree."""
-    for k in range(10):
-        for j in range(10):
-            assert stirling1(k, j) == stirling1_by_recurrence(k, j), (k, j)
+    for k in range(13):
+        for j in range(13):
+            assert stirling1(k, j) == stirling1_by_compositions(k, j), (k, j)
+
+
+def test_stirling_oracles_reject_negative_arguments():
+    with pytest.raises(ValueError):
+        stirling1_by_compositions(2, -1)
+    with pytest.raises(ValueError):
+        signed_esym_by_combinations(-1, 2)
+
+
+def test_stirling_rows_hand_out_copies():
+    rows = stirling_rows(4)
+    rows[3][1] = -1
+    assert stirling1(3, 1) == 2
 
 
 def test_row_sums_are_factorials():
@@ -60,6 +77,46 @@ def test_signed_esym_values():
     assert signed_esym(1, 2) == -3
     assert signed_esym(2, 2) == 11
     assert signed_esym(3, 1) == -6
+
+
+def test_signed_esym_equals_subset_sum():
+    """The one-pass sum agrees with the sum over every m-subset."""
+    for total in range(15):
+        for m in range(total + 1):
+            n = total - m
+            assert signed_esym(m, n) == signed_esym_by_combinations(m, n), (m, n)
+
+
+def test_stirling_numbers_match_sympy():
+    sympy_numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+    for k in range(41):
+        for j in range(k + 1):
+            want = int(sympy_numbers.stirling(k, j, kind=1, signed=False))
+            assert stirling1(k, j) == want, (k, j)
+
+
+def test_signed_esym_matches_sympy():
+    sympy_numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+    for total in range(41):
+        for m in range(total + 1):
+            n = total - m
+            want = (-1) ** m * int(sympy_numbers.stirling(total, n, kind=1, signed=False))
+            assert signed_esym(m, n) == want, (m, n)
+
+
+def test_polynomial_paths_fit_budget(monkeypatch):
+    """Large tables come from recurrences, not from the defining sums."""
+    monkeypatch.setattr(combinatorics, "_STIRLING", [[1]])  # time the rows built from nothing
+    started = time.perf_counter()
+    rows = stirling_rows(200)
+    esym = signed_esym(20, 20)
+    tower = derivative_tower(20)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 5.0, f"{elapsed:.1f}s over the 5s budget"
+    assert sum(rows[200]) == factorial(200)
+    assert esym == stirling1(40, 20)
+    assert len(tower[20]) == 627  # partitions of 20
+    assert sum(c for _, c in tower[20].items()) == 51724158235372  # Bell number B_20
 
 
 def test_signed_esym_lubell_identity():

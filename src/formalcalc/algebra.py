@@ -27,7 +27,14 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .params import Coeff, ParamPoly, Scalar, as_parampoly, canonical_coeff
+from .params import (
+    Coeff,
+    ParamPoly,
+    Scalar,
+    _scalar_product,
+    as_parampoly,
+    canonical_coeff,
+)
 
 
 # Interned constant exponents; the derivative loop decrements exponents
@@ -596,37 +603,30 @@ def _mul_into(
 
 
 def _numerators(terms: dict[Monomial, Coeff]) -> tuple[int, dict[Monomial, Coeff]]:
-    """(d, d * terms) for the least d > 0 that makes every coefficient an integer.
+    """(d, d * terms) for the least d > 0 that makes every coefficient integer-valued.
 
     Integer arithmetic is much cheaper than Fraction arithmetic, so products
     and derivatives work on numerators and divide by d once per result
-    coefficient.  Where a parameter appears the terms are returned as they
-    are, with d = 1.
+    coefficient.  A ParamPoly coefficient counts the denominators of all its
+    values.
     """
-    dens = []
-    for c in terms.values():
-        if type(c) is ParamPoly:
-            return 1, terms
-        dens.append(c.denominator)
-    d = lcm(*dens)
+    d = lcm(*(c.denominator for c in terms.values()))
     if d == 1:
         return 1, terms
-    return d, {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
+    return d, {
+        m: c * d if type(c) is ParamPoly else c.numerator * (d // c.denominator)
+        for m, c in terms.items()
+    }
 
 
 def _scaled(terms: dict[Monomial, Coeff], c: Coeff) -> dict[Monomial, Coeff]:
-    """c * terms for a nonzero stored-form c."""
-    if type(c) is not Fraction:
-        return {m: v * c for m, v in terms.items()}
-    n, d = c.numerator, c.denominator
-    out: dict[Monomial, Coeff] = {}
-    for m, v in terms.items():
-        if type(v) is int:  # cheaper than int * Fraction
-            q = Fraction(v * n, d)
-            out[m] = q.numerator if q.denominator == 1 else q
-        else:
-            out[m] = v * c
-    return out
+    """c * terms for a nonzero stored-form c, in stored form."""
+    if type(c) is ParamPoly:
+        return {m: c * v for m, v in terms.items()}
+    return {
+        m: v._scaled(c) if type(v) is ParamPoly else _scalar_product(v, c)
+        for m, v in terms.items()
+    }
 
 
 def _term_text(mono: Monomial, coeff: Coeff, ypower: int = 0) -> tuple[int, str]:

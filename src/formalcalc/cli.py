@@ -168,12 +168,22 @@ def _run_table(args: argparse.Namespace) -> int:
     return 0
 
 
+# Sweep bounds that must be at least 1: below that a sweep has no case and
+# would pass vacuously.
+_SWEEP_SIZES = {
+    "automorphism": ("trials",),
+    "faa-di-bruno": ("trials",),
+    "s-identity": ("max_k", "max_n"),
+}
+
+
 def _run_verify(args: argparse.Namespace) -> int:
     report: VerifyReport
-    if args.check in ("automorphism", "faa-di-bruno") and args.trials < 1:
-        # each case of these sweeps is one trial: no trials would be a vacuous pass
-        print("formalcalc: --trials must be at least 1", file=sys.stderr)
-        return 2
+    for dest in _SWEEP_SIZES.get(args.check, ()):
+        if getattr(args, dest) < 1:
+            flag = "--" + dest.replace("_", "-")
+            print(f"formalcalc: {flag} must be at least 1", file=sys.stderr)
+            return 2
     if args.check == "automorphism":
         report = verify_automorphism(
             trials=args.trials,

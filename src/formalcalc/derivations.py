@@ -48,7 +48,10 @@ class Derivation:
         self.name = name
         self._images: dict[int, Element] = dict(images or {})
         self._rule = rule
+        # D(m) for each monomial m met by the running exp_series; emptied when
+        # it returns, so no entry outlives one expansion
         self._mono_images: dict[Monomial, Element] = {}
+        self._expanding = False
 
     def image(self, index: int) -> Element:
         """D applied to the generator with this index."""
@@ -87,9 +90,14 @@ class Derivation:
             frontier.update(img.generator_indices() - seen)
 
     def apply(self, a: Element) -> Element:
-        """One application of the derivation."""
+        """One application of the derivation.
+
+        Inside ``exp_series`` each monomial's image is memoized for the rest
+        of that expansion.  A bare call keeps nothing: one element never
+        holds a monomial twice.
+        """
         acc: dict[Monomial, Coeff] = {}
-        memo = self._mono_images
+        memo = self._mono_images if self._expanding else {}
         for mono, coeff in a.raw_items():
             img = memo.get(mono)
             if img is None:
@@ -123,13 +131,18 @@ class Derivation:
         if order < 0:
             raise ValueError("order must be nonnegative")
         self.check_closure(a)
-        # differentiate den * a, whose rational coefficients are integers, and
+        # differentiate den * a, whose coefficients are integer-valued, and
         # scale each D^k once, by 1/(k! den)
         den, current = a._numerators()
         coeffs = [a]
-        for k in range(1, order + 1):
-            current = self.apply(current)
-            coeffs.append(current * (Fraction(1, factorial(k)) / den))
+        self._expanding = True
+        try:
+            for k in range(1, order + 1):
+                current = self.apply(current)
+                coeffs.append(current * (Fraction(1, factorial(k)) / den))
+        finally:
+            self._expanding = False
+            self._mono_images.clear()
         return YSeries(coeffs)
 
     def __repr__(self) -> str:

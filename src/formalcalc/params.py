@@ -6,11 +6,14 @@ like ``x^r`` is expanded, the coefficient of each term is a polynomial in
 polynomials exact is what lets identities be checked by equality instead of
 by numerical comparison.
 
-Representation: a dict mapping a parameter monomial to its coefficient.  A
+Representation: a dict mapping a parameter monomial to its value.  A
 parameter monomial is a tuple of ``(name, power)`` pairs sorted by name with
-all powers >= 1; the empty tuple is the constant monomial.  Zero
-coefficients are never stored, so two polynomials are equal exactly when
-their dicts are equal.
+all powers >= 1; the empty tuple is the constant monomial.  A value is
+stored as a plain ``int`` when it is an integer and as a ``Fraction``
+otherwise, so integer-valued polynomials multiply and add in integer
+arithmetic.  Zero values are never stored, so two polynomials are equal
+exactly when their dicts are equal (an ``int`` and a ``Fraction`` of the
+same value compare and hash alike).
 
 Where no parameter appears, the rest of the package holds a coefficient as a
 plain ``int`` or ``Fraction`` rather than a constant ParamPoly: see
@@ -20,6 +23,7 @@ plain ``int`` or ``Fraction`` rather than a constant ParamPoly: see
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping
 
 Scalar = int | Fraction
@@ -39,23 +43,48 @@ def _key_degree(key: ParamKey) -> int:
     return sum(p for _, p in key)
 
 
+def _stored(value: object) -> Scalar:
+    """A rational in stored form: ``int`` when integral, else ``Fraction``."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _scalar_product(v: Scalar, c: Scalar) -> Scalar:
+    """v * c in stored form, for stored-form v and c."""
+    if type(v) is int:
+        if type(c) is int:
+            return v * c
+        q = Fraction(v * c.numerator, c.denominator)  # cheaper than int * Fraction
+    elif type(c) is int:
+        q = Fraction(v.numerator * c, v.denominator)
+    else:
+        q = v * c
+    return q.numerator if q.denominator == 1 else q
+
+
 class ParamPoly:
-    """Polynomial in symbolic parameters with Fraction coefficients."""
+    """Polynomial in symbolic parameters with exact rational values.
+
+    Each value is held as an ``int`` when it is an integer and as a
+    ``Fraction`` otherwise (see ``_stored``).
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[ParamKey, Scalar] | None = None):
-        self._terms: dict[ParamKey, Fraction] = {}
+        self._terms: dict[ParamKey, Scalar] = {}
         if terms:
             for key, value in terms.items():
-                if type(value) is not Fraction:
-                    value = Fraction(value)
+                value = _stored(value)
                 if value:
                     self._terms[key] = value
 
     @classmethod
-    def _of(cls, terms: dict[ParamKey, Fraction]) -> ParamPoly:
-        """Wrap a dict that already holds only nonzero Fraction values."""
+    def _of(cls, terms: dict[ParamKey, Scalar]) -> ParamPoly:
+        """Wrap a dict that already holds only nonzero stored-form values."""
         out = object.__new__(cls)
         out._terms = terms
         return out
@@ -70,13 +99,13 @@ class ParamPoly:
 
     @classmethod
     def const(cls, value: Scalar) -> ParamPoly:
-        return cls({(): Fraction(value)})
+        return cls({(): value})
 
     @classmethod
     def param(cls, name: str) -> ParamPoly:
         if not name:
             raise ValueError("parameter name must be nonempty")
-        return cls({((name, 1),): Fraction(1)})
+        return cls._of({((name, 1),): 1})
 
     @staticmethod
     def _coerce(value: object) -> ParamPoly | None:
@@ -86,11 +115,16 @@ class ParamPoly:
             return ParamPoly.const(value)
         return None
 
-    def items(self) -> Iterator[tuple[ParamKey, Fraction]]:
+    def items(self) -> Iterator[tuple[ParamKey, Scalar]]:
         return iter(self._terms.items())
 
-    def sorted_items(self) -> list[tuple[ParamKey, Fraction]]:
+    def sorted_items(self) -> list[tuple[ParamKey, Scalar]]:
         return sorted(self._terms.items(), key=lambda kv: (-_key_degree(kv[0]), kv[0]))
+
+    @property
+    def denominator(self) -> int:
+        """The least d > 0 that makes every value of ``d * self`` an integer."""
+        return lcm(*(v.denominator for v in self._terms.values()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -107,9 +141,9 @@ class ParamPoly:
     def __add__(self, other: object) -> ParamPoly:
         if type(other) is int or type(other) is Fraction:
             out = dict(self._terms)
-            s = out.get((), 0) + other
+            s = _stored(out.get((), 0) + other)
             if s:
-                out[()] = Fraction(s)
+                out[()] = s
             else:
                 out.pop((), None)
             return ParamPoly._of(out)
@@ -118,17 +152,18 @@ class ParamPoly:
             return NotImplemented
         out = dict(self._terms)
         for key, v in o._terms.items():
-            s = out.get(key, Fraction(0)) + v
+            s = out.get(key)
+            s = v if s is None else _stored(s + v)
             if s:
                 out[key] = s
-            elif key in out:
+            else:
                 del out[key]
-        return ParamPoly(out)
+        return ParamPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> ParamPoly:
-        return ParamPoly({k: -v for k, v in self._terms.items()})
+        return ParamPoly._of({k: -v for k, v in self._terms.items()})
 
     def __sub__(self, other: object) -> ParamPoly:
         o = self._coerce(other)
@@ -143,9 +178,17 @@ class ParamPoly:
         return o + (-self)
 
     def _scaled(self, c: Scalar) -> ParamPoly:
+        c = _stored(c)
         if not c:
             return ParamPoly()
-        return ParamPoly._of({k: v * c for k, v in self._terms.items()})
+        if c == 1:  # values are immutable, so self serves
+            return self
+        terms = self._terms
+        if type(c) is int:  # the common case: integer values stay integers
+            return ParamPoly._of(
+                {k: v * c if type(v) is int else _scalar_product(v, c) for k, v in terms.items()}
+            )
+        return ParamPoly._of({k: _scalar_product(v, c) for k, v in terms.items()})
 
     def __mul__(self, other: object) -> ParamPoly:
         if type(other) is int or type(other) is Fraction:
@@ -159,15 +202,11 @@ class ParamPoly:
             return o._scaled(a[()])
         if len(b) == 1 and () in b:
             return self._scaled(b[()])
-        out: dict[ParamKey, Fraction] = {}
+        out: dict[ParamKey, Scalar] = {}
         for ka, va in a.items():
             for kb, vb in b.items():
                 key = _merge_keys(ka, kb)
-                s = out.get(key, Fraction(0)) + va * vb
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                out[key] = out.get(key, 0) + va * vb
         return ParamPoly(out)
 
     __rmul__ = __mul__
@@ -186,10 +225,10 @@ class ParamPoly:
     def is_constant(self) -> bool:
         return all(key == () for key in self._terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         """The value of a constant polynomial; raises if parameters remain."""
         if not self._terms:
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
         return self._terms[()]
@@ -251,15 +290,9 @@ def canonical_coeff(value: object) -> Coeff:
     another rational, and a ParamPoly only when a parameter appears.
     ParamPoly constants are demoted; other numbers go through ``Fraction``.
     """
-    if type(value) is int:
-        return value
     if isinstance(value, ParamPoly):
-        value = value.demoted()
-        if isinstance(value, ParamPoly):
-            return value
-    elif not isinstance(value, Fraction):
-        value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
+        return value.demoted()
+    return _stored(value)
 
 
 def as_parampoly(value: Coeff) -> ParamPoly:

@@ -18,6 +18,11 @@ Exponents after ``^`` must be affine in the parameters with integer
 parameter coefficients (``r``, ``2*r+s-1``, ``-3/2``); anything else in an
 exponent position is rejected at conversion time with the offending
 column.  All errors are ParseError with 1-based line/column positions.
+
+Nesting is capped at ``MAX_NESTING`` levels: each parenthesis, unary minus
+and exponent opens one level, and an expression that goes deeper is a
+ParseError.  Sums and products may have any number of terms; they are
+evaluated in a loop, not by recursion.
 """
 
 from __future__ import annotations
@@ -39,6 +44,10 @@ _TOKEN_RE = re.compile(
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*^()])"
 )
+
+# The parser and the conversions below recurse once per nesting level, so the
+# cap keeps them well inside Python's default recursion limit of 1000.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -126,6 +135,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -157,11 +167,18 @@ class _Parser:
         return node
 
     def parse_unary(self) -> Node:
+        # every nesting level (parenthesis, unary minus, exponent) passes here
         tok = self.peek()
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", tok.column)
+        self.depth += 1
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Neg(self.parse_unary(), tok.column)
-        return self.parse_power()
+            node: Node = Neg(self.parse_unary(), tok.column)
+        else:
+            node = self.parse_power()
+        self.depth -= 1
+        return node
 
     def parse_power(self) -> Node:
         base = self.parse_atom()
@@ -236,6 +253,31 @@ def parse(text: str) -> Node:
 
 # ------------------------------------------------------------- conversions
 
+def _fold_chain(node: BinOp, convert, combine):
+    """Convert a left-deep chain of ``+``, ``-`` and ``*`` links in a loop.
+
+    An n-term sum or product parses to a tree n levels deep; walking it
+    here keeps recursion to the nesting depth, which the parser caps.
+    ``combine(link, left, right)`` applies one link to converted operands.
+    """
+    links = []
+    while isinstance(node, BinOp) and node.op != "^":
+        links.append(node)
+        node = node.left
+    out = convert(node)
+    for link in reversed(links):
+        out = combine(link, out, convert(link.right))
+    return out
+
+
+def _arith(node: BinOp, left, right):
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    return left * right
+
+
 def to_exponent(node: Node) -> Exponent:
     """Fold a syntax tree into an affine exponent, or reject it."""
     if isinstance(node, Num):
@@ -244,26 +286,28 @@ def to_exponent(node: Node) -> Exponent:
         return Exponent.param(node.name)
     if isinstance(node, Neg):
         return -to_exponent(node.operand)
-    if isinstance(node, BinOp) and node.op in "+-":
-        left, right = to_exponent(node.left), to_exponent(node.right)
-        return left + right if node.op == "+" else left - right
-    if isinstance(node, BinOp) and node.op == "*":
-        left, right = to_exponent(node.left), to_exponent(node.right)
-        for scalar, other in ((left, right), (right, left)):
-            if scalar.is_constant:
-                if other.linear and scalar.const.denominator != 1:
-                    raise ParseError(
-                        "parameter coefficients in exponents must be integers",
-                        node.column,
-                    )
-                return other * scalar.const
-        raise ParseError(
-            "products of two parameters cannot appear in an exponent", node.column
-        )
     if isinstance(node, BinOp) and node.op == "^":
         raise ParseError("nested powers cannot appear in an exponent", node.column)
+    if isinstance(node, BinOp):
+        return _fold_chain(node, to_exponent, _exponent_op)
     raise ParseError(
         "exponents must be affine in the parameters", getattr(node, "column", 1)
+    )
+
+
+def _exponent_op(node: BinOp, left: Exponent, right: Exponent) -> Exponent:
+    if node.op != "*":
+        return _arith(node, left, right)
+    for scalar, other in ((left, right), (right, left)):
+        if scalar.is_constant:
+            if other.linear and scalar.const.denominator != 1:
+                raise ParseError(
+                    "parameter coefficients in exponents must be integers",
+                    node.column,
+                )
+            return other * scalar.const
+    raise ParseError(
+        "products of two parameters cannot appear in an exponent", node.column
     )
 
 
@@ -297,12 +341,7 @@ def to_element(node: Node) -> Element:
                     node.column,
                 )
             return base**k
-        left, right = to_element(node.left), to_element(node.right)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return left * right
+        return _fold_chain(node, to_element, _arith)
     raise ParseError("unsupported expression", getattr(node, "column", 1))
 
 
@@ -328,12 +367,7 @@ def to_fdb(node: Node) -> FdbPoly:
             for _ in range(right):
                 out = out * base
             return out
-        left, right_p = to_fdb(node.left), to_fdb(node.right)
-        if node.op == "+":
-            return left + right_p
-        if node.op == "-":
-            return left - right_p
-        return left * right_p
+        return _fold_chain(node, to_fdb, _arith)
     raise ParseError("unsupported expression", getattr(node, "column", 1))
 
 

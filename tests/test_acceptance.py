@@ -24,6 +24,7 @@ from formalcalc.algebra import Element, Exponent
 from formalcalc.checks import random_element, verify_automorphism, verify_composition
 from formalcalc.combinatorics import (
     stirling1,
+    stirling1_by_compositions,
     stirling1_by_recurrence,
     verify_chain_product,
     verify_lubell,
@@ -132,6 +133,9 @@ def test_criterion_6_bracket_cross_check():
     for k in range(13):
         for j in range(13):
             assert stirling1(k, j) == stirling1_by_recurrence(k, j), (k, j)
+            # stirling1 and stirling1_by_recurrence share one recurrence; the
+            # composition sum is an independent route
+            assert stirling1(k, j) == stirling1_by_compositions(k, j), (k, j)
     for k in range(11):
         assert sum(stirling1(k, j) for j in range(k + 1)) == factorial(k)
 

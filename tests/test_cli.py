@@ -112,11 +112,21 @@ def test_zero_case_sweeps_are_usage_errors():
     for args in (
         ("verify", "automorphism", "--trials", "-1"),
         ("verify", "faa-di-bruno", "--trials", "0"),
+        ("verify", "s-identity", "--max-k", "0"),
+        ("verify", "s-identity", "--max-n", "0"),
     ):
         result = run_cli(*args)
         assert result.returncode == 2, args
         assert result.stdout == ""
-        assert result.stderr.startswith("formalcalc:")
+        assert result.stderr == f"formalcalc: {args[2]} must be at least 1\n"
+
+
+def test_deep_nesting_is_a_usage_error():
+    result = run_cli("expand", "--expr", "(" * 3000 + "x" + ")" * 3000, "--order", "1")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("formalcalc: line 1, column ")
+    assert "nested deeper than" in result.stderr and "Traceback" not in result.stderr
 
 
 def test_umbral_bad_weights():

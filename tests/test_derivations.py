@@ -106,3 +106,30 @@ def test_apply_is_deterministic():
     a = random_element(rng, params=("s",))
     D = d_dx()
     assert D.apply(a) == D.apply(a)
+
+
+def test_memo_lives_for_one_expansion(monkeypatch):
+    """A long-lived derivation keeps no monomial images between calls."""
+    rng = Random(7)
+    elements = [random_element(rng, max_terms=3, params=("r",)) for _ in range(51)]
+    single = d_dx()
+    single.exp_series(elements[0], 6)
+    one_call = len(single._mono_images)
+
+    D = d_dx()
+    derived = []
+    original = Derivation._derive_monomial
+
+    def counted(self, mono):
+        derived.append(mono)
+        return original(self, mono)
+
+    monkeypatch.setattr(Derivation, "_derive_monomial", counted)
+    for a in elements[1:]:
+        D.exp_series(a, 6)
+        # within one expansion each monomial is derived once
+        assert len(derived) == len(set(derived))
+        derived.clear()
+    assert len(D._mono_images) <= one_call
+    D.apply(elements[0])
+    assert len(D._mono_images) <= one_call

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 from random import Random
 
-from formalcalc.algebra import Element, Exponent, Monomial, YSeries
+from formalcalc.algebra import Element, Exponent, Monomial, YSeries, _numerators
 from formalcalc.checks import random_element
 from formalcalc.derivations import d_dx, x_d_dx
 from formalcalc.diffrep import lifted_exp
@@ -190,3 +190,67 @@ def test_lifted_exp_matches_reference():
         a = random_element(rng, params=params)
         want = ref_exp_series(ref_terms(a), "xddx", order)
         assert ref_series(lifted_exp(a, order)) == want, str(a)
+
+
+def rational_symbolic_element(rng: Random) -> Element:
+    """Symbolic exponents with rational constants, e.g. x^(r + 1/2), and
+    coefficients such as 2/3 and 2/3*r + 1/2, whose values carry denominators."""
+    r = ParamPoly.param("r")
+    coeffs = (Fraction(2, 3), Fraction(-1, 2), 3, Fraction(2, 3) * r + Fraction(1, 2), r - 1)
+    terms = {}
+    for _ in range(rng.randrange(1, 3)):
+        powers = []
+        for index in rng.sample(range(-2, 3), rng.randrange(1, 3)):
+            const = rng.choice([Fraction(1, 2), Fraction(-1, 3), Fraction(3, 2), 1, -1])
+            linear = ((rng.choice("rs"), rng.choice([-1, 1, 2])),) if rng.random() < 0.7 else ()
+            powers.append((index, Exponent(const, linear)))
+        terms[Monomial(powers)] = rng.choice(coeffs)
+    return Element(terms)
+
+
+def test_rational_symbolic_elements_match_reference():
+    """Integer numerators where the denominators clear, Fraction values where a
+    derivative brings a rational exponent constant down as a factor."""
+    r = Exponent.param("r")
+    two_thirds_r = ParamPoly.param("r") * Fraction(2, 3)
+    fixed = [
+        Element.gen(0, r + Fraction(1, 2)) * Fraction(2, 3),  # x^(r + 1/2)
+        Element.gen(1, Exponent.param("r", -1, Fraction(-1, 3))) * two_thirds_r,
+    ]
+    for a in fixed:
+        den, numerators = _numerators(a._terms)
+        assert den > 1
+        assert all(c.denominator == 1 for c in numerators.values())
+    rng = Random(107)
+    derivations = {"ddx": d_dx(), "xddx": x_d_dx()}
+    elements = fixed + [rational_symbolic_element(rng) for _ in range(10)]
+    for trial, a in enumerate(elements):
+        order = 6 if trial % 2 else 4
+        for kind, deriv in derivations.items():
+            series = deriv.exp_series(a, order)
+            assert ref_series(series) == ref_exp_series(ref_terms(a), kind, order), (kind, str(a))
+        b = elements[trial - 1]
+        sa, sb = d_dx().exp_series(a, order), d_dx().exp_series(b, order)
+        assert ref_series(sa * sb) == ref_series_mul(ref_series(sa), ref_series(sb))
+        assert ref_series(lifted_exp(a, order)) == ref_exp_series(ref_terms(a), "xddx", order)
+
+
+def test_stored_values_are_int_when_integral():
+    """Every coefficient the engine hands back is in stored form: an int when
+    integral, a Fraction otherwise, also inside each ParamPoly."""
+    rng = Random(108)
+
+    def check(value):
+        if isinstance(value, ParamPoly):
+            for _, v in value.items():
+                check(v)
+        else:
+            assert type(value) is (int if value.denominator == 1 else Fraction), value
+
+    for _ in range(10):
+        a = rational_symbolic_element(rng)
+        for deriv in (d_dx(), x_d_dx()):
+            series = deriv.exp_series(a, 4) * deriv.exp_series(a, 4)
+            for c in series.coefficients():
+                for _, coeff in c.raw_items():
+                    check(coeff)

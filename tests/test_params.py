@@ -3,6 +3,8 @@
 from fractions import Fraction
 from random import Random
 
+import pytest
+
 from formalcalc.params import ParamPoly
 
 
@@ -91,3 +93,68 @@ def test_ring_laws_random():
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
         assert a - a == ParamPoly.zero()
+
+
+def mixed_parampoly(rng: Random) -> ParamPoly:
+    """Values drawn as ints, proper fractions and integral Fractions alike."""
+    values = (1, -2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(6, 3), Fraction(-5, 4))
+    terms = {}
+    for _ in range(rng.randrange(1, 5)):
+        powers = (("r", rng.randrange(3)), ("s", rng.randrange(2)))
+        key = tuple((name, p) for name, p in powers if p)
+        terms[key] = rng.choice(values)
+    return ParamPoly(terms)
+
+
+def assert_stored_form(p: ParamPoly) -> None:
+    for _, v in p.items():
+        assert v and type(v) is (int if v.denominator == 1 else Fraction), p
+
+
+def test_values_compare_and_hash_alike_in_either_form():
+    key = (("r", 1),)
+    for v in (1, -3, 12):
+        assert Fraction(v) == v and hash(Fraction(v)) == hash(v)
+        assert ParamPoly({key: Fraction(v)}) == ParamPoly({key: v})
+    # integral values are held as int, whatever form they arrive in
+    assert type(ParamPoly.const(Fraction(6, 3)).constant_value()) is int
+    half = ParamPoly.const(Fraction(1, 2))
+    assert type((half + half).constant_value()) is int
+    assert type((half * 2).constant_value()) is int
+    assert type((half * half * 4).constant_value()) is int
+    assert (half * 2).demoted() == 1 and type((half * 2).demoted()) is int
+    assert ParamPoly({key: Fraction(2, 3), (): Fraction(1, 4)}).denominator == 12
+    assert ParamPoly({key: 5}).denominator == 1
+
+
+def test_arithmetic_matches_sympy():
+    """+, -, * and scaling against sympy, on values mixing int and Fraction."""
+    sympy = pytest.importorskip("sympy")
+    symbols = {"r": sympy.Symbol("r"), "s": sympy.Symbol("s")}
+
+    def to_sympy(p):
+        return sum(
+            (
+                sympy.Rational(v.numerator, v.denominator)
+                * sympy.Mul(*(symbols[n] ** k for n, k in key))
+                for key, v in p.items()
+            ),
+            sympy.Integer(0),
+        )
+
+    rng = Random(2025)
+    scalars = (0, 1, -1, 3, Fraction(1, 3), Fraction(-3, 2), Fraction(4, 2))
+    for _ in range(200):
+        a, b = mixed_parampoly(rng), mixed_parampoly(rng)
+        c = rng.choice(scalars)
+        sa, sb, sc = to_sympy(a), to_sympy(b), sympy.Rational(str(c))
+        for got, want in (
+            (a + b, sa + sb),
+            (a - b, sa - sb),
+            (a * b, sa * sb),
+            (a * c, sa * sc),
+            (c * a, sa * sc),
+            (a + c, sa + sc),
+        ):
+            assert sympy.expand(to_sympy(got) - want) == 0, (a, b, c)
+            assert_stored_form(got)

@@ -8,7 +8,7 @@ import pytest
 from formalcalc.algebra import Element, Exponent
 from formalcalc.checks import random_element
 from formalcalc.faadibruno import FdbPoly, derivative_tower, taylor_coefficients
-from formalcalc.parser import ParseError, parse_element, parse_fdb
+from formalcalc.parser import MAX_NESTING, ParseError, parse_element, parse_fdb
 
 
 def test_parse_generators():
@@ -87,6 +87,35 @@ def test_trailing_garbage():
         parse_element("x 5")
     with pytest.raises(ParseError):
         parse_element("x + ")
+
+
+def test_nesting_is_capped():
+    x = Element.gen(0)
+    deep = MAX_NESTING
+    assert parse_element("(" * deep + "x" + ")" * deep) == x
+    assert parse_element("-" * deep + "x") == x
+    assert parse_fdb("(" * deep + "y_1" + ")" * deep) == FdbPoly.outer_symbol(1)
+    for text in (
+        "(" * (deep + 1) + "x" + ")" * (deep + 1),
+        "(" * 3000 + "x" + ")" * 3000,  # raised RecursionError before the cap
+        "-" * 3000 + "x",
+        "x" + "^x" * 3000,
+    ):
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse_element(text)
+    with pytest.raises(ParseError, match="nested deeper than"):
+        parse_fdb("(" * 3000 + "y_1" + ")" * 3000)
+
+
+def test_long_sums_and_products_do_not_recurse():
+    # an n-term chain parses to a tree n levels deep; 3000 terms used to
+    # raise RecursionError during conversion
+    x, r = Element.gen(0), Exponent.param("r")
+    assert parse_element(" + ".join(["x"] * 3000)) == 3000 * x
+    assert parse_element(" - ".join(["x"] * 3000)) == -2998 * x
+    assert parse_element("*".join(["x"] * 3000)) == Element.gen(0, 3000)
+    assert parse_element("x^(" + " + ".join(["r"] * 3000) + ")") == Element.gen(0, 3000 * r)
+    assert parse_fdb(" + ".join(["y_1*x_1"] * 3000)) == 3000 * parse_fdb("y_1*x_1")
 
 
 def test_nonconstant_base_needs_plain_power():

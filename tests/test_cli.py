@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from formalcalc import cli
 from formalcalc.jsonio import load_schema
@@ -45,6 +46,29 @@ def test_golden_umbral():
     result = run_cli("umbral", "--B", "1,0", "--depth", "3")
     assert result.returncode == 0
     assert result.stdout == (GOLDEN / "umbral_b10.txt").read_text()
+
+
+# Rendering corpus: each command is stored as <name>.txt (text) and <name>.tex (latex).
+CORPUS = {
+    "expand_rational": (
+        "expand", "--expr",
+        "2/3*x^(r+1/2)*l_1(x)^(-r-1/3) + (2/3*r + 1/2)*l_2(x)^(-2*r+s-1)",
+        "--order", "3",
+    ),
+    "expand_mixed": (
+        "expand", "--expr", "(r - s)*x^2 - r^2*exp(x) + 3*l_-2(x)^(1/2)", "--order", "3",
+    ),
+    "fdb_order4": ("faa-di-bruno", "--order", "4"),
+    "umbral_b12": ("umbral", "--B", "1,2,-1/3", "--depth", "5"),
+}
+
+
+@pytest.mark.parametrize("fmt,suffix", [("text", "txt"), ("latex", "tex")])
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_golden_corpus(name, fmt, suffix):
+    result = run_cli("--format", fmt, *CORPUS[name])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN / f"{name}.{suffix}").read_text()
 
 
 def test_engine_and_closed_form_agree_bytewise():

@@ -27,6 +27,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from . import render
 from .params import (
     Coeff,
     ParamPoly,
@@ -90,13 +91,7 @@ class Exponent:
     def of(cls, value: "Exponent | Scalar") -> Exponent:
         if isinstance(value, Exponent):
             return value
-        if isinstance(value, int) and -64 <= value <= 64:
-            cached = _INT_EXPONENTS.get(value)
-            if cached is None:
-                cached = cls(Fraction(value))
-                _INT_EXPONENTS[value] = cached
-            return cached
-        return cls(Fraction(value))
+        return _constant_exponent(value if isinstance(value, int) else Fraction(value))
 
     @classmethod
     def param(cls, name: str, coeff: int = 1, const: Scalar = 0) -> Exponent:
@@ -195,22 +190,7 @@ class Exponent:
         return (self.linear, self.const)
 
     def __str__(self) -> str:
-        parts: list[str] = []
-        for name, m in self.linear:
-            if not parts:
-                lead = "" if m == 1 else "-" if m == -1 else f"{m}*"
-                parts.append(f"{lead}{name}")
-            else:
-                op = " + " if m > 0 else " - "
-                mag = "" if abs(m) == 1 else f"{abs(m)}*"
-                parts.append(f"{op}{mag}{name}")
-        if self.const or not parts:
-            if not parts:
-                parts.append(str(self.const))
-            else:
-                op = " + " if self.const > 0 else " - "
-                parts.append(f"{op}{abs(self.const)}")
-        return "".join(parts)
+        return render.exponent(render.TEXT, self)
 
 
 def _constant_exponent(const: Scalar) -> Exponent:
@@ -373,40 +353,15 @@ class Monomial:
         return tuple((i, e.sort_key()) for i, e in self.powers)
 
     def __str__(self) -> str:
-        if not self.powers:
-            return "1"
-        return "*".join(_gen_power_str(i, e) for i, e in self.powers)
+        return render.monomial(render.TEXT, self)
 
 
 _ONE = Monomial()
 
 
 def gen_name(index: int) -> str:
-    """Printable name of a generator: x, log(x), or l_<k>(x)."""
-    if index == 0:
-        return "x"
-    if index == 1:
-        return "log(x)"
-    if index == -1:
-        return "exp(x)"
-    return f"l_{index}(x)"
-
-
-def _exponent_str(e: Exponent) -> str:
-    """Exponent as printed after '^': bare when simple, parenthesized otherwise."""
-    s = str(e)
-    if e.is_constant and e.const.denominator == 1 and e.const >= 0:
-        return s
-    if not e.const and len(e.linear) == 1 and e.linear[0][1] == 1:
-        return s  # a bare parameter like r
-    return f"({s})"
-
-
-def _gen_power_str(index: int, e: Exponent) -> str:
-    base = gen_name(index)
-    if e.is_constant and e.const == 1:
-        return base
-    return f"{base}^{_exponent_str(e)}"
+    """Printable name of a generator: x, log(x), exp(x), or l_<k>(x)."""
+    return render.generator(render.TEXT, index)
 
 
 class Element:
@@ -565,9 +520,7 @@ class Element:
         )
 
     def __str__(self) -> str:
-        return _join_terms(
-            _term_text(mono, coeff) for mono, coeff in self._sorted_raw()
-        ) or "0"
+        return render.element(render.TEXT, self)
 
     def __repr__(self) -> str:
         return f"Element({self})"
@@ -627,47 +580,6 @@ def _scaled(terms: dict[Monomial, Coeff], c: Coeff) -> dict[Monomial, Coeff]:
         m: v._scaled(c) if type(v) is ParamPoly else _scalar_product(v, c)
         for m, v in terms.items()
     }
-
-
-def _term_text(mono: Monomial, coeff: Coeff, ypower: int = 0) -> tuple[int, str]:
-    """Render one term as (sign, body) for sign-aware joining."""
-    factors: list[str] = []
-    sign = 1
-    if not isinstance(coeff, ParamPoly):
-        if coeff < 0:
-            sign = -1
-            coeff = -coeff
-        if coeff != 1:
-            factors.append(str(coeff))
-    else:
-        items = coeff.sorted_items()
-        if len(items) == 1:
-            key, value = items[0]
-            if value < 0:
-                sign = -1
-                value = -value
-            single = ParamPoly({key: value})
-            if not (single == 1):
-                factors.append(str(single))
-        else:
-            factors.append(f"({coeff})")
-    if not mono.is_one:
-        factors.append(str(mono))
-    if ypower == 1:
-        factors.append("y")
-    elif ypower > 1:
-        factors.append(f"y^{ypower}")
-    return sign, "*".join(factors) if factors else "1"
-
-
-def _join_terms(parts: Iterable[tuple[int, str]]) -> str:
-    out: list[str] = []
-    for sign, body in parts:
-        if not out:
-            out.append(("-" if sign < 0 else "") + body)
-        else:
-            out.append((" - " if sign < 0 else " + ") + body)
-    return "".join(out)
 
 
 class YSeries:
@@ -773,11 +685,7 @@ class YSeries:
         return any(self._coeffs)
 
     def __str__(self) -> str:
-        parts: list[tuple[int, str]] = []
-        for k, elem in enumerate(self._coeffs):
-            for mono, coeff in elem._sorted_raw():
-                parts.append(_term_text(mono, coeff, ypower=k))
-        return _join_terms(parts) or "0"
+        return render.series(render.TEXT, self)
 
     def __repr__(self) -> str:
         return f"YSeries(order={self.order}: {self})"

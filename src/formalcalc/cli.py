@@ -72,50 +72,74 @@ def build_parser() -> argparse.ArgumentParser:
         default="engine",
         help="derivation engine or the closed summation formulas",
     )
+    p.set_defaults(run=_run_expand)
 
     p = sub.add_parser("lift", help="expand under x*d/dx via the index shift")
     p.add_argument("--expr", required=True)
     p.add_argument("--order", type=int, required=True)
+    p.set_defaults(run=_run_lift)
 
     p = sub.add_parser("stirling-table", help="table of Stirling cycle numbers")
     p.add_argument("--max", type=int, required=True, help="largest row index")
+    p.set_defaults(run=_run_table)
 
     v = sub.add_parser("verify", help="run an identity sweep")
+    v.set_defaults(run=_run_verify)
     vsub = v.add_subparsers(dest="check", required=True)
+    # each sweep looks its verifier up by name when it runs, so a replaced one is used
 
     p = vsub.add_parser("automorphism", help="exp(yD) multiplicativity")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--max-index", type=int, default=3)
     p.add_argument("--seed", type=int, default=11)
+    p.set_defaults(
+        sweep=lambda a: verify_automorphism(
+            trials=a.trials, order=a.order, max_index=a.max_index, seed=a.seed
+        )
+    )
 
     p = vsub.add_parser("intertwine", help="index shift vs the two derivations")
     p.add_argument("--max-index", type=int, default=6)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=7)
+    p.set_defaults(
+        sweep=lambda a: verify_intertwining(
+            max_index=a.max_index, product_trials=a.trials, seed=a.seed
+        )
+    )
 
     p = vsub.add_parser("lubell", help="two-index chain/Stirling/symmetric-sum equality")
     p.add_argument("--max", type=int, default=6)
     p.add_argument("--pair-sum", type=int, default=None)
+    p.set_defaults(sweep=lambda a: verify_lubell(max_n=a.max, max_pair_sum=a.pair_sum))
 
     p = vsub.add_parser("s-identity", help="chain recursion vs Stirling products")
     p.add_argument("--max-k", type=int, default=6)
     p.add_argument("--max-n", type=int, default=3)
+    p.set_defaults(sweep=lambda a: verify_chain_product(max_k=a.max_k, max_n=a.max_n))
 
     p = vsub.add_parser("faa-di-bruno", help="dual-path composite expansion")
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--order", type=int, default=6)
     p.add_argument("--seed", type=int, default=13)
+    p.set_defaults(
+        sweep=lambda a: verify_composition(
+            trials=a.trials, max_degree=a.degree, order=a.order, seed=a.seed
+        )
+    )
 
     p = sub.add_parser(
         "faa-di-bruno", help="coefficients of the composite-derivative exponential"
     )
     p.add_argument("--order", type=int, required=True)
+    p.set_defaults(run=_run_fdb)
 
     p = sub.add_parser("umbral", help="solve the weight-sequence shift operator")
     p.add_argument("--B", required=True, help="comma-separated weights, e.g. 1,0")
     p.add_argument("--depth", type=int, required=True)
+    p.set_defaults(run=_run_umbral)
 
     return top
 
@@ -168,42 +192,24 @@ def _run_table(args: argparse.Namespace) -> int:
     return 0
 
 
-# Sweep bounds that must be at least 1: below that a sweep has no case and
-# would pass vacuously.
-_SWEEP_SIZES = {
-    "automorphism": ("trials",),
-    "faa-di-bruno": ("trials",),
-    "s-identity": ("max_k", "max_n"),
+# The least value of each sweep bound, checked before any work.  Below it a
+# sweep either has no case and would pass vacuously, or has no valid input.
+_SWEEP_MINIMUMS = {
+    "automorphism": {"trials": 1, "order": 0, "max_index": 0},
+    "intertwine": {"max_index": 0},
+    "lubell": {"max": 1},
+    "s-identity": {"max_k": 1, "max_n": 1},
+    "faa-di-bruno": {"trials": 1, "order": 0, "degree": 0},
 }
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    report: VerifyReport
-    for dest in _SWEEP_SIZES.get(args.check, ()):
-        if getattr(args, dest) < 1:
+    for dest, least in _SWEEP_MINIMUMS[args.check].items():
+        if getattr(args, dest) < least:
             flag = "--" + dest.replace("_", "-")
-            print(f"formalcalc: {flag} must be at least 1", file=sys.stderr)
+            print(f"formalcalc: {flag} must be at least {least}", file=sys.stderr)
             return 2
-    if args.check == "automorphism":
-        report = verify_automorphism(
-            trials=args.trials,
-            order=args.order,
-            max_index=args.max_index,
-            seed=args.seed,
-        )
-    elif args.check == "intertwine":
-        report = verify_intertwining(
-            max_index=args.max_index, product_trials=args.trials, seed=args.seed
-        )
-    elif args.check == "lubell":
-        report = verify_lubell(max_n=args.max, max_pair_sum=args.pair_sum)
-    elif args.check == "s-identity":
-        report = verify_chain_product(max_k=args.max_k, max_n=args.max_n)
-    else:
-        report = verify_composition(
-            trials=args.trials, max_degree=args.degree, order=args.order, seed=args.seed
-        )
-
+    report: VerifyReport = args.sweep(args)
     if args.format == "json":
         print(jsonio.dumps(jsonio.report_to_json(report)))
     elif args.format == "latex":
@@ -271,17 +277,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "expand":
-            return _run_expand(args)
-        if args.command == "lift":
-            return _run_lift(args)
-        if args.command == "stirling-table":
-            return _run_table(args)
-        if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "faa-di-bruno":
-            return _run_fdb(args)
-        return _run_umbral(args)
+        return args.run(args)
     except ParseError as exc:
         print(f"formalcalc: {exc}", file=sys.stderr)
         return 2

@@ -35,14 +35,14 @@ _STIRLING: list[list[int]] = [[1]]
 _CHAIN: dict[tuple[int, ...], int] = {}
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``parts`` positive integers summing to ``total``."""
-    if parts == 0:
-        if total == 0:
-            yield ()
+def _compositions(total: int, parts: int, floor: int) -> Iterator[tuple[int, ...]]:
+    """All tuples of ``parts`` (>= 1) integers, each >= floor, summing to ``total``."""
+    if parts == 1:
+        if total >= floor:
+            yield (total,)
         return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
+    for first in range(floor, total - (parts - 1) * floor + 1):
+        for rest in _compositions(total - first, parts - 1, floor):
             yield (first,) + rest
 
 
@@ -70,10 +70,10 @@ def stirling1_by_compositions(k: int, j: int) -> int:
         raise ValueError("stirling1 arguments must be nonnegative")
     if j > k:
         return 0
-    if k == 0:
-        return 1
+    if j == 0:
+        return int(k == 0)
     kf = factorial(k)
-    total = sum(kf // prod(c) for c in _compositions(k, j))
+    total = sum(kf // prod(c) for c in _compositions(k, j, 1))
     value, remainder = divmod(total, factorial(j))
     if remainder:
         raise ArithmeticError(f"composition sum for ({k}, {j}) is not an integer")
@@ -156,13 +156,13 @@ def stirling_chain(chain: Sequence[int]) -> int:
     return _CHAIN[js]
 
 
-def _descending_chains(length: int, max_top: int) -> Iterator[tuple[int, ...]]:
-    """All (j_0 >= j_1 >= ... >= j_n >= 1) with j_0 <= max_top, n+1 = length."""
+def _descending_chains(length: int, max_top: int, floor: int) -> Iterator[tuple[int, ...]]:
+    """All (j_0 >= j_1 >= ... >= j_n >= floor) with j_0 <= max_top, n+1 = length."""
     if length == 0:
         yield ()
         return
-    for top in range(1, max_top + 1):
-        for rest in _descending_chains(length - 1, top):
+    for top in range(floor, max_top + 1):
+        for rest in _descending_chains(length - 1, top, floor):
             yield (top,) + rest
 
 
@@ -174,7 +174,7 @@ def verify_chain_product(max_k: int = 6, max_n: int = 3) -> VerifyReport:
     """
     cases = 0
     for n in range(1, max_n + 1):
-        for desc in _descending_chains(n + 1, max_k):
+        for desc in _descending_chains(n + 1, max_k, 1):
             votes = prod(stirling1(desc[i], desc[i + 1]) for i in range(n))
             got = stirling_chain(tuple(reversed(desc)))
             cases += 1

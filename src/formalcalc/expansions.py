@@ -26,10 +26,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, prod
-from typing import Iterator
 
 from .algebra import Element, Exponent, Monomial, YSeries, binom
-from .combinatorics import signed_esym, stirling1, stirling_chain
+from .combinatorics import (
+    _compositions,
+    _descending_chains,
+    signed_esym,
+    stirling1,
+    stirling_chain,
+)
 from .params import Coeff, ParamPoly, Scalar, canonical_coeff
 
 FORMS = ("stirling", "chain", "symmetric")
@@ -77,25 +82,6 @@ def log_power_series(exponent: "Exponent | Scalar", order: int) -> YSeries:
     return out
 
 
-def _descending_from(top: int, count: int, floor: int) -> Iterator[tuple[int, ...]]:
-    """Weakly descending tuples of length ``count`` starting at <= top, >= floor."""
-    if count == 0:
-        yield ()
-        return
-    for j in range(floor, top + 1):
-        for rest in _descending_from(j, count - 1, floor):
-            yield (j,) + rest
-
-
-def _compositions_nonneg(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions_nonneg(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _tower_monomial(n: int, e: Exponent, drops: tuple[int, ...]) -> Monomial:
     """l_n^(e - drops[n]) * prod_{i<n} l_i^(-drops[i])."""
     powers: list[tuple[int, Exponent]] = [(n, e - drops[n])]
@@ -123,7 +109,7 @@ def iterated_log_series(
             # descending tuples (j_0, ..., j_n); a drop to 0 kills the bracket
             # unless everything after it is 0 too, so enumerate with floor 0
             # and skip zero products.
-            for js in _descending_from(j0, n, 0):
+            for js in _descending_chains(n, j0, 0):
                 tup = (j0,) + js
                 weight = prod(stirling1(tup[i], tup[i + 1]) for i in range(n))
                 if weight == 0:
@@ -139,7 +125,7 @@ def iterated_log_series(
     elif form == "chain":
         terms[0].append((Monomial.gen(n, e), 1))
         for k in range(1, order + 1):
-            for js in _descending_from(k, n, 1):
+            for js in _descending_chains(n, k, 1):
                 tup = (k,) + js  # (j_0=k, j_1, ..., j_n), all >= 1
                 jn = tup[n]
                 s_value = stirling_chain(tuple(reversed(tup)))
@@ -154,7 +140,7 @@ def iterated_log_series(
 
     else:  # symmetric
         for k in range(order + 1):
-            for js in _compositions_nonneg(k, n + 1):
+            for js in _compositions(k, n + 1, 0):
                 suffix = [0] * (n + 2)
                 for i in range(n, -1, -1):
                     suffix[i] = suffix[i + 1] + js[i]

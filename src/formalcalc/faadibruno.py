@@ -29,7 +29,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
 
-from . import qpoly
+from . import qpoly, render
+from .params import _merge_keys, _stored
 from .qpoly import QPoly
 
 # A symbol-power table: ((index, exponent), ...) sorted, exponents >= 1.
@@ -39,13 +40,6 @@ TermKey = tuple[SymKey, SymKey]  # (outer powers, inner powers)
 
 class ConsistencyError(RuntimeError):
     """The two composition routes disagreed; indicates an engine bug."""
-
-
-def _merge(a: SymKey, b: SymKey) -> SymKey:
-    acc = dict(a)
-    for i, e in b:
-        acc[i] = acc.get(i, 0) + e
-    return tuple(sorted((i, e) for i, e in acc.items() if e))
 
 
 def _step(key: SymKey, pos: int) -> SymKey:
@@ -68,8 +62,9 @@ def _times_x1(xs: SymKey) -> SymKey:
 class FdbPoly:
     """Polynomial in the composite-derivative alphabet y_0, y_1, ..., x_1, x_2, ...
 
-    A coefficient is held as an ``int`` when it is given as one, and as a
-    ``Fraction`` otherwise; the two forms of one value compare equal.
+    A coefficient is held as an ``int`` when it is integral and as a
+    ``Fraction`` otherwise (``params._stored``), so integer arithmetic runs
+    wherever it can.
     """
 
     __slots__ = ("_terms",)
@@ -77,8 +72,7 @@ class FdbPoly:
     def __init__(self, terms: Mapping[TermKey, Fraction | int] | None = None):
         self._terms: dict[TermKey, Fraction | int] = {}
         for key, c in (terms or {}).items():
-            if type(c) is not int:
-                c = Fraction(c)
+            c = _stored(c)
             if c:
                 self._terms[key] = c
 
@@ -131,12 +125,8 @@ class FdbPoly:
             return NotImplemented
         out = dict(self._terms)
         for key, c in other._terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return FdbPoly(out)
+            out[key] = out.get(key, 0) + c
+        return FdbPoly(out)  # drops the zero sums
 
     __radd__ = __add__
 
@@ -151,15 +141,11 @@ class FdbPoly:
             return FdbPoly({k: c * other for k, c in self._terms.items()})
         if not isinstance(other, FdbPoly):
             return NotImplemented
-        out: dict[TermKey, Fraction] = {}
+        out: dict[TermKey, Fraction | int] = {}
         for (ya, xa), ca in self._terms.items():
             for (yb, xb), cb in other._terms.items():
-                key = (_merge(ya, yb), _merge(xa, xb))
-                s = out.get(key, Fraction(0)) + ca * cb
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                key = (_merge_keys(ya, yb), _merge_keys(xa, xb))
+                out[key] = out.get(key, 0) + ca * cb
         return FdbPoly(out)
 
     __rmul__ = __mul__
@@ -214,22 +200,7 @@ class FdbPoly:
         return qpoly.normalize(out)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for (ys, xs), c in self.sorted_terms():
-            factors = [f"y_{i}" if e == 1 else f"y_{i}^{e}" for i, e in ys]
-            factors += [f"x_{j}" if e == 1 else f"x_{j}^{e}" for j, e in xs]
-            body = "*".join(factors)
-            if not body:
-                body = str(abs(c))
-            elif abs(c) != 1:
-                body = f"{abs(c)}*{body}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append((" - " if c < 0 else " + ") + body)
-        return "".join(parts)
+        return render.fdbpoly(render.TEXT, self)
 
     def __repr__(self) -> str:
         return f"FdbPoly({self})"
@@ -252,8 +223,7 @@ def taylor_coefficients(order: int) -> list[FdbPoly]:
     ]
 
 
-def substitute_weights(poly: FdbPoly, weights: Sequence[Fraction | int]) -> QPoly:
-    return poly.substitute_weights(weights)
+substitute_weights = FdbPoly.substitute_weights
 
 
 def compose_series_direct(

@@ -1,13 +1,20 @@
-"""LaTeX rendering of algebra values as display-math fragments."""
+"""LaTeX rendering of algebra values as display-math fragments.
+
+The walkers live in ``render``; this module holds the LaTeX token table
+``LATEX`` and the public entry points.  A power of ``log x`` or ``e^{x}``
+wraps its base, as in ``(\\log x)^{2}`` and ``(e^{x})^{2}``, so that no
+superscript follows another.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from . import render
 from .algebra import Element, Exponent, Monomial, YSeries
 from .faadibruno import FdbPoly
 from .params import ParamPoly
-from .qpoly import QPoly, normalize
+from .qpoly import QPoly
 
 
 def latex_fraction(q: Fraction) -> str:
@@ -17,150 +24,50 @@ def latex_fraction(q: Fraction) -> str:
     return f"{sign}\\tfrac{{{abs(q.numerator)}}}{{{q.denominator}}}"
 
 
+LATEX = render.Style(
+    number=latex_fraction,
+    times=" ",
+    exponent_times="",
+    sup=("^{", "}"),
+    sup_group=("^{", "}"),
+    sub=("_{", "}"),
+    group=("\\left(", "\\right)"),
+    log=("\\log x", "(\\log x)"),
+    exp=("e^{x}", "(e^{x})"),
+    tower="\\ell",
+)
+
+
 def latex_exponent(e: Exponent) -> str:
-    parts: list[str] = []
-    for name, m in e.linear:
-        if not parts:
-            lead = "" if m == 1 else "-" if m == -1 else str(m)
-            parts.append(f"{lead}{name}")
-        else:
-            sign = " + " if m > 0 else " - "
-            mag = "" if abs(m) == 1 else str(abs(m))
-            parts.append(f"{sign}{mag}{name}")
-    if e.const or not parts:
-        if not parts:
-            parts.append(latex_fraction(e.const))
-        else:
-            sign = " + " if e.const > 0 else " - "
-            parts.append(sign + latex_fraction(abs(e.const)))
-    return "".join(parts)
+    return render.exponent(LATEX, e)
 
 
 def latex_gen(index: int) -> str:
-    if index == 0:
-        return "x"
-    if index == 1:
-        return "\\log x"
-    if index == -1:
-        return "e^{x}"
-    return f"\\ell_{{{index}}}(x)"
+    return render.generator(LATEX, index)
 
 
 def latex_monomial(m: Monomial) -> str:
-    if m.is_one:
-        return "1"
-    factors = []
-    for index, e in m.powers:
-        base = latex_gen(index)
-        if e.is_constant and e.const == 1:
-            factors.append(base)
-        else:
-            wrapped = f"({base})" if index == 1 else base
-            factors.append(f"{wrapped}^{{{latex_exponent(e)}}}")
-    return " ".join(factors)
+    return render.monomial(LATEX, m)
 
 
 def latex_parampoly(p: ParamPoly) -> str:
-    if not p:
-        return "0"
-    parts: list[str] = []
-    for key, c in p.sorted_items():
-        mono = " ".join(n if e == 1 else f"{n}^{{{e}}}" for n, e in key)
-        if not mono:
-            body = latex_fraction(abs(c))
-        elif abs(c) == 1:
-            body = mono
-        else:
-            body = f"{latex_fraction(abs(c))} {mono}"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append((" - " if c < 0 else " + ") + body)
-    return "".join(parts)
-
-
-def _latex_term(mono: Monomial, coeff: ParamPoly, ypower: int = 0) -> tuple[int, str]:
-    items = coeff.sorted_items()
-    factors: list[str] = []
-    sign = 1
-    if len(items) == 1:
-        key, value = items[0]
-        if value < 0:
-            sign, value = -1, -value
-        single = ParamPoly({key: value})
-        if not (single == 1):
-            factors.append(latex_parampoly(single))
-    else:
-        factors.append(f"\\left({latex_parampoly(coeff)}\\right)")
-    if not mono.is_one:
-        factors.append(latex_monomial(mono))
-    if ypower == 1:
-        factors.append("y")
-    elif ypower > 1:
-        factors.append(f"y^{{{ypower}}}")
-    return sign, " ".join(factors) if factors else "1"
-
-
-def _join(parts: list[tuple[int, str]]) -> str:
-    out: list[str] = []
-    for sign, body in parts:
-        if not out:
-            out.append(("-" if sign < 0 else "") + body)
-        else:
-            out.append((" - " if sign < 0 else " + ") + body)
-    return "".join(out) or "0"
+    return render.parampoly(LATEX, p)
 
 
 def latex_element(a: Element) -> str:
-    return _join([_latex_term(m, c) for m, c in a.sorted_terms()])
+    return render.element(LATEX, a)
 
 
 def latex_yseries(s: YSeries) -> str:
-    parts: list[tuple[int, str]] = []
-    for k, elem in enumerate(s.coefficients()):
-        for mono, coeff in elem.sorted_terms():
-            parts.append(_latex_term(mono, coeff, ypower=k))
-    return _join(parts)
+    return render.series(LATEX, s)
 
 
 def latex_qpoly(p: QPoly, var: str = "x") -> str:
-    p = normalize(p)
-    if not p:
-        return "0"
-    parts: list[str] = []
-    for k in range(len(p) - 1, -1, -1):
-        c = p[k]
-        if not c:
-            continue
-        if k == 0:
-            body = latex_fraction(abs(c))
-        else:
-            xpart = var if k == 1 else f"{var}^{{{k}}}"
-            body = xpart if abs(c) == 1 else f"{latex_fraction(abs(c))} {xpart}"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append((" - " if c < 0 else " + ") + body)
-    return "".join(parts)
+    return render.qpoly(LATEX, p, var)
 
 
 def latex_fdbpoly(p: FdbPoly) -> str:
-    if not p:
-        return "0"
-    parts: list[str] = []
-    for (ys, xs), c in p.sorted_terms():
-        factors = [f"y_{{{i}}}" if e == 1 else f"y_{{{i}}}^{{{e}}}" for i, e in ys]
-        factors += [f"x_{{{j}}}" if e == 1 else f"x_{{{j}}}^{{{e}}}" for j, e in xs]
-        body = " ".join(factors)
-        if not body:
-            body = latex_fraction(abs(c))
-        elif abs(c) != 1:
-            body = f"{latex_fraction(abs(c))} {body}"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append((" - " if c < 0 else " + ") + body)
-    return "".join(parts)
+    return render.fdbpoly(LATEX, p)
 
 
 def latex_table(rows: list[list[int]]) -> str:

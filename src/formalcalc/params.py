@@ -26,6 +26,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Mapping
 
+from . import render
+
 Scalar = int | Fraction
 
 # ((name, power), ...) sorted by name, powers >= 1; () is the constant term.
@@ -247,34 +249,15 @@ class ParamPoly:
     def substitute(self, name: str, value: Scalar) -> ParamPoly:
         """Replace a parameter by an exact rational value."""
         v = Fraction(value)
-        out: dict[ParamKey, Fraction] = {}
+        out: dict[ParamKey, Scalar] = {}
         for key, coeff in self._terms.items():
             power = dict(key).get(name, 0)
             rest = tuple(pair for pair in key if pair[0] != name)
-            s = out.get(rest, Fraction(0)) + coeff * v**power
-            if s:
-                out[rest] = s
-            elif rest in out:
-                del out[rest]
-        return ParamPoly(out)
+            out[rest] = out.get(rest, 0) + coeff * v**power
+        return ParamPoly(out)  # drops the zero sums
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for key, coeff in self.sorted_items():
-            mono = "*".join(n if p == 1 else f"{n}^{p}" for n, p in key)
-            if not mono:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = mono
-            else:
-                body = f"{abs(coeff)}*{mono}"
-            if not parts:
-                parts.append(("-" if coeff < 0 else "") + body)
-            else:
-                parts.append((" - " if coeff < 0 else " + ") + body)
-        return "".join(parts)
+        return render.parampoly(render.TEXT, self)
 
     def __repr__(self) -> str:
         return f"ParamPoly({self})"

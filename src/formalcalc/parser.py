@@ -362,11 +362,7 @@ def to_fdb(node: Node) -> FdbPoly:
     if isinstance(node, BinOp):
         if node.op == "^":
             right = to_fdb_exponent(node.right)
-            base = to_fdb(node.left)
-            out = FdbPoly.const(1)
-            for _ in range(right):
-                out = out * base
-            return out
+            return to_fdb(node.left) ** right
         return _fold_chain(node, to_fdb, _arith)
     raise ParseError("unsupported expression", getattr(node, "column", 1))
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import render
+
 QPoly = list[Fraction]
 
 
@@ -101,21 +103,4 @@ def eval_at(p: Sequence[Fraction], value: Fraction | int) -> Fraction:
 
 
 def to_string(p: Sequence[Fraction], var: str = "x") -> str:
-    p = normalize(p)
-    if not p:
-        return "0"
-    parts: list[str] = []
-    for k in range(len(p) - 1, -1, -1):
-        c = p[k]
-        if not c:
-            continue
-        if k == 0:
-            body = str(abs(c))
-        else:
-            xpart = var if k == 1 else f"{var}^{k}"
-            body = xpart if abs(c) == 1 else f"{abs(c)}*{xpart}"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append((" - " if c < 0 else " + ") + body)
-    return "".join(parts)
+    return render.qpoly(render.TEXT, p, var)

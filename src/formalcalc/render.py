@@ -1,0 +1,170 @@
+"""One term walker that prints every value shape, as text or as LaTeX.
+
+A printed value is a signed sum of terms (``join``), and a term is a
+rational magnitude times factors (``term``: a unit magnitude is dropped
+unless no factor is left).  One walker per shape turns a value into such
+terms: parameter polynomials, exponents, monomials, elements and y-series,
+composite-derivative polynomials and dense one-variable polynomials.  The
+output formats differ only in their tokens, held in a ``Style``: ``TEXT``
+here and ``latexio.LATEX``.
+
+This module imports nothing from the package; the walkers read the fields
+of the values they print.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, Iterable, Iterator, Sequence
+
+Term = tuple[int, str]  # (sign, body)
+
+
+@dataclass(frozen=True)
+class Style:
+    """The tokens of one output format."""
+
+    number: Callable[[int | Fraction], str]  # a nonnegative rational
+    times: str  # between the factors of a term
+    exponent_times: str  # between an integer and a parameter in an exponent
+    sup: tuple[str, str]  # around a nonnegative integer or a bare parameter
+    sup_group: tuple[str, str]  # around any other exponent
+    sub: tuple[str, str]  # around a subscript
+    group: tuple[str, str]  # around a coefficient of several terms
+    log: tuple[str, str]  # log x alone, and as the base of a power
+    exp: tuple[str, str]  # exp x alone, and as the base of a power
+    tower: str  # the name of l_n
+
+
+TEXT = Style(
+    number=str,
+    times="*",
+    exponent_times="*",
+    sup=("^", ""),
+    sup_group=("^(", ")"),
+    sub=("_", ""),
+    group=("(", ")"),
+    log=("log(x)", "log(x)"),
+    exp=("exp(x)", "exp(x)"),
+    tower="l",
+)
+
+
+def join(terms: Iterable[Term]) -> str:
+    """The signed sum of the terms; ``0`` when there are none."""
+    out: list[str] = []
+    for sign, body in terms:
+        if out:
+            out.append((" - " if sign < 0 else " + ") + body)
+        else:
+            out.append(("-" if sign < 0 else "") + body)
+    return "".join(out) or "0"
+
+
+def term(style: Style, c: int | Fraction, factors: list[str], times: str | None = None) -> Term:
+    """The term c times the factors; a unit |c| is dropped unless nothing else is left."""
+    sign = -1 if c < 0 else 1
+    c = abs(c)
+    if c != 1 or not factors:
+        factors = [style.number(c), *factors]
+    return sign, (style.times if times is None else times).join(factors)
+
+
+def power(style: Style, base: str, k: int) -> str:
+    """``base`` to a positive integer power, bare for k = 1."""
+    if k == 1:
+        return base
+    return f"{base}{style.sup[0]}{k}{style.sup[1]}"
+
+
+def subscript(style: Style, name: str, index: int) -> str:
+    return f"{name}{style.sub[0]}{index}{style.sub[1]}"
+
+
+def _powers(style: Style, key: Iterable[tuple[str, int]]) -> list[str]:
+    return [power(style, name, k) for name, k in key]
+
+
+def parampoly(style: Style, p) -> str:
+    return join(term(style, c, _powers(style, key)) for key, c in p.sorted_items())
+
+
+def exponent(style: Style, e) -> str:
+    terms = [term(style, m, [name], style.exponent_times) for name, m in e.linear]
+    if e.const or not terms:
+        terms.append(term(style, e.const, []))
+    return join(terms)
+
+
+def generator(style: Style, index: int, powered: bool = False) -> str:
+    """The name of generator ``index``; ``powered`` asks for it as the base of a power."""
+    if index == 0:
+        return "x"
+    if index == 1:
+        return style.log[powered]
+    if index == -1:
+        return style.exp[powered]
+    return subscript(style, style.tower, index) + "(x)"
+
+
+def _generator_power(style: Style, index: int, e) -> str:
+    if not e.linear and e.const == 1:
+        return generator(style, index)
+    simple = (not e.linear and e.const.denominator == 1 and e.const >= 0) or (
+        not e.const and len(e.linear) == 1 and e.linear[0][1] == 1
+    )
+    left, right = style.sup if simple else style.sup_group
+    return f"{generator(style, index, True)}{left}{exponent(style, e)}{right}"
+
+
+def _monomial_factors(style: Style, m) -> list[str]:
+    return [_generator_power(style, index, e) for index, e in m.powers]
+
+
+def monomial(style: Style, m) -> str:
+    return style.times.join(_monomial_factors(style, m)) or "1"
+
+
+def _element_terms(style: Style, a, ypower: int) -> Iterator[Term]:
+    """The terms of an element, each times y^ypower."""
+    y = [power(style, "y", ypower)] if ypower else []
+    for mono, coeff in a._sorted_raw():
+        if isinstance(coeff, (int, Fraction)):
+            c, head = coeff, []
+        else:
+            items = coeff.sorted_items()
+            if len(items) == 1:
+                key, c = items[0]
+                head = _powers(style, key)
+            else:
+                c, head = 1, [style.group[0] + parampoly(style, coeff) + style.group[1]]
+        yield term(style, c, head + _monomial_factors(style, mono) + y)
+
+
+def element(style: Style, a) -> str:
+    return join(_element_terms(style, a, 0))
+
+
+def series(style: Style, s) -> str:
+    return join(t for k, a in enumerate(s.coefficients()) for t in _element_terms(style, a, k))
+
+
+def _symbols(style: Style, name: str, key: Iterable[tuple[int, int]]) -> list[str]:
+    return [power(style, subscript(style, name, i), e) for i, e in key]
+
+
+def fdbpoly(style: Style, p) -> str:
+    return join(
+        term(style, c, _symbols(style, "y", ys) + _symbols(style, "x", xs))
+        for (ys, xs), c in p.sorted_terms()
+    )
+
+
+def qpoly(style: Style, p: Sequence[Fraction], var: str = "x") -> str:
+    """A dense polynomial [a0, a1, ...] in ``var``, highest power first."""
+    return join(
+        term(style, p[k], [power(style, var, k)] if k else [])
+        for k in range(len(p) - 1, -1, -1)
+        if p[k]
+    )

@@ -9,6 +9,7 @@ when the budget is missed.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -48,6 +49,7 @@ from formalcalc.jsonio import (
 from formalcalc.parser import parse_element
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(qpoly.__file__).resolve().parents[1]  # the directory that holds the package
 
 
 @pytest.mark.acceptance(1, "automorphism property")
@@ -175,10 +177,13 @@ def test_criterion_8_umbral():
 @pytest.mark.acceptance(9, "CLI contract")
 def test_criterion_9_cli_contract():
     def run(*args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
         return subprocess.run(
             [sys.executable, "-m", "formalcalc.cli", *args],
             capture_output=True,
             text=True,
+            env=env,
         )
 
     result = run("expand", "--expr", "log(x)", "--order", "3")

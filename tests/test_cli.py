@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,12 +15,14 @@ from formalcalc.jsonio import load_schema
 from formalcalc.report import VerifyReport
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(cli.__file__).resolve().parents[1]  # the directory that holds the package
 
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
     env.pop("NO_COLOR", None)
     env.pop("FORMALCALC_COLOR", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -69,6 +72,12 @@ def test_golden_corpus(name, fmt, suffix):
     result = run_cli("--format", fmt, *CORPUS[name])
     assert result.returncode == 0, result.stderr
     assert result.stdout == (GOLDEN / f"{name}.{suffix}").read_text()
+
+
+def test_latex_goldens_have_no_double_superscript():
+    double = re.compile(r"\^\{(?:[^{}]|\{[^{}]*\})*\}\^\{")
+    for path in sorted(GOLDEN.glob("*.tex")):
+        assert not double.search(path.read_text()), path.name
 
 
 def test_engine_and_closed_form_agree_bytewise():
@@ -133,16 +142,24 @@ def test_negative_order_rejected():
 
 
 def test_zero_case_sweeps_are_usage_errors():
-    for args in (
-        ("verify", "automorphism", "--trials", "-1"),
-        ("verify", "faa-di-bruno", "--trials", "0"),
-        ("verify", "s-identity", "--max-k", "0"),
-        ("verify", "s-identity", "--max-n", "0"),
+    for args, least in (
+        (("verify", "automorphism", "--trials", "-1"), 1),
+        (("verify", "faa-di-bruno", "--trials", "0"), 1),
+        (("verify", "s-identity", "--max-k", "0"), 1),
+        (("verify", "s-identity", "--max-n", "0"), 1),
+        (("verify", "automorphism", "--order", "-1"), 0),
+        (("verify", "automorphism", "--max-index", "-1", "--trials", "2"), 0),
+        (("verify", "faa-di-bruno", "--order", "-1"), 0),
+        (("verify", "faa-di-bruno", "--degree", "-1"), 0),
+        (("verify", "intertwine", "--max-index", "-1", "--trials", "3"), 0),
+        (("verify", "intertwine", "--max-index", "-1", "--trials", "0"), 0),
+        (("verify", "lubell", "--max", "0", "--pair-sum", "0"), 1),
     ):
         result = run_cli(*args)
         assert result.returncode == 2, args
         assert result.stdout == ""
-        assert result.stderr == f"formalcalc: {args[2]} must be at least 1\n"
+        assert "Traceback" not in result.stderr
+        assert result.stderr == f"formalcalc: {args[2]} must be at least {least}\n"
 
 
 def test_deep_nesting_is_a_usage_error():

@@ -17,6 +17,8 @@ from formalcalc.faadibruno import (
     taylor_coefficients,
     umbral_shift,
 )
+from formalcalc.jsonio import fdbpoly_from_json, fdbpoly_to_json
+from formalcalc.parser import parse_fdb
 
 
 def y(i):
@@ -63,6 +65,13 @@ def test_fdbpoly_arithmetic():
     assert p ** 2 == p * p
     with pytest.raises(ValueError):
         p ** -1
+    # one storage rule (params._stored): int when integral, Fraction otherwise
+    parsed = parse_fdb("2*y_1*x_1 + y_2")
+    decoded = fdbpoly_from_json(fdbpoly_to_json(derivative_tower(4)[4]))
+    for poly in (parsed, decoded, parsed * parsed, p * p, taylor_coefficients(1)[1]):
+        assert all(type(c) is int for _, c in poly.items()), poly
+    half = p * Fraction(1, 2)
+    assert {type(c) for _, c in half.items()} == {Fraction, int}
 
 
 def test_fdbpoly_string():

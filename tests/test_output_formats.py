@@ -29,6 +29,7 @@ from formalcalc.jsonio import (
     yseries_from_json,
     yseries_to_json,
 )
+from formalcalc.parser import parse_element
 
 
 def test_fraction_codec():
@@ -90,6 +91,14 @@ def test_latex_element_forms():
     assert latexio.latex_element(Element.gen(-1)) == "e^{x}"
     assert latexio.latex_element(Element.gen(2, -2)) == "\\ell_{2}(x)^{-2}"
     assert latexio.latex_element(Element.zero()) == "0"
+
+
+def test_latex_powers_wrap_log_and_exp():
+    """A powered e^{x} or log x is parenthesized, so no superscript follows another."""
+    assert latexio.latex_element(parse_element("exp(x)^2")) == "(e^{x})^{2}"
+    assert latexio.latex_element(parse_element("exp(x)^(r-1)")) == "(e^{x})^{r - 1}"
+    assert latexio.latex_element(parse_element("log(x)^2")) == "(\\log x)^{2}"
+    assert latexio.latex_element(parse_element("exp(x)*log(x)")) == "e^{x} \\log x"
 
 
 def test_latex_fraction_and_qpoly():

@@ -22,17 +22,20 @@ e*(e-1)*...*(e-n+1)/n!, which is a parameter polynomial when e is.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import render
 from .params import (
     Coeff,
     ParamPoly,
     Scalar,
-    _scalar_product,
+    Sparse,
+    _mul_into,
+    _scaled,
     as_parampoly,
     canonical_coeff,
 )
@@ -364,7 +367,7 @@ def gen_name(index: int) -> str:
     return render.generator(render.TEXT, index)
 
 
-class Element:
+class Element(Sparse):
     """A finite sum of generator monomials with exact coefficients.
 
     A coefficient is stored as a plain ``int`` or ``Fraction`` unless a
@@ -374,54 +377,17 @@ class Element:
     ParamPoly; ``raw_items`` gives them as stored.
     """
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[Monomial, "ParamPoly | Scalar"] | None = None):
-        self._terms: dict[Monomial, Coeff] = {}
-        for mono, coeff in (terms or {}).items():
-            coeff = canonical_coeff(coeff)
-            if coeff:
-                self._terms[mono] = coeff
-
-    @classmethod
-    def _of(cls, terms: dict[Monomial, Coeff]) -> Element:
-        """Wrap a dict whose coefficients are already stored-form and nonzero."""
-        out = _new(cls)
-        out._terms = terms
-        return out
-
-    @classmethod
-    def zero(cls) -> Element:
-        return cls._of({})
-
-    @classmethod
-    def one(cls) -> Element:
-        return cls._of({_ONE: 1})
-
-    @classmethod
-    def const(cls, value: "Scalar | ParamPoly") -> Element:
-        return cls({_ONE: value})
+    __slots__ = ()
+    _UNIT = _ONE
+    _SCALARS = (int, Fraction, ParamPoly)
+    _key_mul = staticmethod(operator.mul)
+    # bound here too: the per-layer tracer (perfbench/spans.py) wraps only the
+    # methods in a class's own __dict__, and times this one
+    __mul__ = __rmul__ = Sparse.__mul__
 
     @classmethod
     def gen(cls, index: int, exponent: "Exponent | Scalar" = 1) -> Element:
         return cls._of({Monomial.gen(index, exponent): 1})
-
-    @classmethod
-    def from_terms(cls, pairs: Iterable[tuple[Monomial, "ParamPoly | Scalar"]]) -> Element:
-        acc: dict[Monomial, Coeff] = {}
-        for mono, coeff in pairs:
-            coeff = canonical_coeff(coeff)
-            if coeff:
-                _accumulate(acc, mono, coeff)
-        return cls._of(acc)
-
-    @staticmethod
-    def _coerce(value: object) -> "Element | None":
-        if isinstance(value, Element):
-            return value
-        if isinstance(value, (int, Fraction, ParamPoly)):
-            return Element.const(value)
-        return None
 
     def items(self) -> Iterator[tuple[Monomial, ParamPoly]]:
         return ((mono, as_parampoly(c)) for mono, c in self._terms.items())
@@ -438,68 +404,6 @@ class Element:
 
     def coefficient(self, mono: Monomial) -> ParamPoly:
         return as_parampoly(self._terms.get(mono, 0))
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._terms == o._terms
-
-    def __add__(self, other: object) -> Element:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for mono, c in o._terms.items():
-            _accumulate(out, mono, c)
-        return Element._of(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Element:
-        return Element._of({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other: object) -> Element:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: object) -> Element:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other: object) -> Element:
-        if isinstance(other, (int, Fraction, ParamPoly)):
-            c = canonical_coeff(other)
-            return Element._of(_scaled(self._terms, c) if c else {})
-        if not isinstance(other, Element):
-            return NotImplemented
-        out: dict[Monomial, Coeff] = {}
-        _mul_into(out, self._terms, other._terms)
-        return Element._of(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> Element:
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("Element powers must be nonnegative integers")
-        out = Element.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def generator_indices(self) -> set[int]:
         return {i for mono in self._terms for i in mono.indices()}
@@ -526,35 +430,6 @@ class Element:
         return f"Element({self})"
 
 
-def _accumulate(acc: dict[Monomial, Coeff], mono: Monomial, c: Coeff) -> None:
-    """acc[mono] += c for a nonzero stored-form c, dropping a zero sum."""
-    prior = acc.get(mono)
-    if prior is None:
-        acc[mono] = c
-        return
-    total = prior + c
-    if type(total) is ParamPoly:
-        total = total.demoted()
-    if total:
-        acc[mono] = total
-    else:
-        del acc[mono]
-
-
-def _mul_into(
-    acc: dict[Monomial, Coeff],
-    ta: dict[Monomial, Coeff],
-    tb: dict[Monomial, Coeff],
-    scale: int = 1,
-) -> None:
-    """acc += scale * ta * tb; all three map monomials to stored-form coefficients."""
-    for ma, ca in ta.items():
-        if scale != 1:
-            ca = ca * scale
-        for mb, cb in tb.items():
-            _accumulate(acc, ma * mb, ca * cb)
-
-
 def _numerators(terms: dict[Monomial, Coeff]) -> tuple[int, dict[Monomial, Coeff]]:
     """(d, d * terms) for the least d > 0 that makes every coefficient integer-valued.
 
@@ -569,16 +444,6 @@ def _numerators(terms: dict[Monomial, Coeff]) -> tuple[int, dict[Monomial, Coeff
     return d, {
         m: c * d if type(c) is ParamPoly else c.numerator * (d // c.denominator)
         for m, c in terms.items()
-    }
-
-
-def _scaled(terms: dict[Monomial, Coeff], c: Coeff) -> dict[Monomial, Coeff]:
-    """c * terms for a nonzero stored-form c, in stored form."""
-    if type(c) is ParamPoly:
-        return {m: c * v for m, v in terms.items()}
-    return {
-        m: v._scaled(c) if type(v) is ParamPoly else _scalar_product(v, c)
-        for m, v in terms.items()
     }
 
 
@@ -668,7 +533,7 @@ class YSeries:
                 den = lcm(*(d for d, _, _ in pairs))
                 acc: dict[Monomial, Coeff] = {}
                 for d, ta, tb in pairs:
-                    _mul_into(acc, ta, tb, den // d)
+                    _mul_into(acc, ta, tb, Element._key_mul, den // d)
                 out.append(Element._of(_scaled(acc, Fraction(1, den)) if den > 1 else acc))
             return YSeries(out)
         o = Element._coerce(other)

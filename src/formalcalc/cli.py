@@ -155,9 +155,10 @@ def _emit_series(args: argparse.Namespace, command: str, series: YSeries) -> int
 
 
 def _run_expand(args: argparse.Namespace) -> int:
-    element = parse_element(args.expr)
     if args.order < 0:
-        raise ParseError("order must be nonnegative", 1)
+        print("formalcalc: --order must be nonnegative", file=sys.stderr)
+        return 2
+    element = parse_element(args.expr)
     if args.via == "closed-form":
         try:
             series = closed_form_series(element, args.order)
@@ -170,10 +171,10 @@ def _run_expand(args: argparse.Namespace) -> int:
 
 
 def _run_lift(args: argparse.Namespace) -> int:
-    element = parse_element(args.expr)
     if args.order < 0:
-        raise ParseError("order must be nonnegative", 1)
-    return _emit_series(args, "lift", lifted_exp(element, args.order))
+        print("formalcalc: --order must be nonnegative", file=sys.stderr)
+        return 2
+    return _emit_series(args, "lift", lifted_exp(parse_element(args.expr), args.order))
 
 
 def _run_table(args: argparse.Namespace) -> int:
@@ -194,10 +195,11 @@ def _run_table(args: argparse.Namespace) -> int:
 
 # The least value of each sweep bound, checked before any work.  Below it a
 # sweep either has no case and would pass vacuously, or has no valid input.
+# A bound left at its default of None is not checked.
 _SWEEP_MINIMUMS = {
     "automorphism": {"trials": 1, "order": 0, "max_index": 0},
-    "intertwine": {"max_index": 0},
-    "lubell": {"max": 1},
+    "intertwine": {"max_index": 0, "trials": 1},
+    "lubell": {"max": 1, "pair_sum": 1},
     "s-identity": {"max_k": 1, "max_n": 1},
     "faa-di-bruno": {"trials": 1, "order": 0, "degree": 0},
 }
@@ -205,7 +207,8 @@ _SWEEP_MINIMUMS = {
 
 def _run_verify(args: argparse.Namespace) -> int:
     for dest, least in _SWEEP_MINIMUMS[args.check].items():
-        if getattr(args, dest) < least:
+        value = getattr(args, dest)
+        if value is not None and value < least:
             flag = "--" + dest.replace("_", "-")
             print(f"formalcalc: {flag} must be at least {least}", file=sys.stderr)
             return 2

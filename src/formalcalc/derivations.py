@@ -24,8 +24,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Mapping
 
-from .algebra import Element, Monomial, YSeries, _accumulate, gen_name
-from .params import Coeff
+from .algebra import Element, Monomial, YSeries, gen_name
+from .params import Coeff, _accumulate
 
 
 class ClosureError(ValueError):

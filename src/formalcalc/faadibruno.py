@@ -27,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from . import qpoly, render
-from .params import _merge_keys, _stored
+from .params import Sparse, _merge_keys
 from .qpoly import QPoly
 
 # A symbol-power table: ((index, exponent), ...) sorted, exponents >= 1.
@@ -59,30 +59,21 @@ def _times_x1(xs: SymKey) -> SymKey:
     return ((1, 1),) + xs
 
 
-class FdbPoly:
+class FdbPoly(Sparse):
     """Polynomial in the composite-derivative alphabet y_0, y_1, ..., x_1, x_2, ...
 
-    A coefficient is held as an ``int`` when it is integral and as a
-    ``Fraction`` otherwise (``params._stored``), so integer arithmetic runs
-    wherever it can.
+    A key is a ``TermKey``, the outer and the inner powers.  A coefficient
+    is held as an ``int`` when it is integral and as a ``Fraction``
+    otherwise, so integer arithmetic runs wherever it can.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _UNIT = ((), ())
+    _SCALARS = (int, Fraction)
 
-    def __init__(self, terms: Mapping[TermKey, Fraction | int] | None = None):
-        self._terms: dict[TermKey, Fraction | int] = {}
-        for key, c in (terms or {}).items():
-            c = _stored(c)
-            if c:
-                self._terms[key] = c
-
-    @classmethod
-    def zero(cls) -> FdbPoly:
-        return cls()
-
-    @classmethod
-    def const(cls, c: Fraction | int) -> FdbPoly:
-        return cls({((), ()): c})
+    @staticmethod
+    def _key_mul(a: TermKey, b: TermKey) -> TermKey:
+        return (_merge_keys(a[0], b[0]), _merge_keys(a[1], b[1]))
 
     @classmethod
     def outer_symbol(cls, i: int) -> FdbPoly:
@@ -98,69 +89,8 @@ class FdbPoly:
             raise ValueError("inner symbols are indexed from 1")
         return cls({((), ((j, 1),)): 1})
 
-    def items(self) -> Iterable[tuple[TermKey, Fraction | int]]:
-        return self._terms.items()
-
     def sorted_terms(self) -> list[tuple[TermKey, Fraction | int]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        """Number of monomials."""
-        return len(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = FdbPoly.const(other)
-        if not isinstance(other, FdbPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __add__(self, other: "FdbPoly | Fraction | int") -> FdbPoly:
-        if isinstance(other, (int, Fraction)):
-            other = FdbPoly.const(other)
-        if not isinstance(other, FdbPoly):
-            return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, 0) + c
-        return FdbPoly(out)  # drops the zero sums
-
-    __radd__ = __add__
-
-    def __neg__(self) -> FdbPoly:
-        return FdbPoly({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other: "FdbPoly | Fraction | int") -> FdbPoly:
-        return self + (-(other if isinstance(other, FdbPoly) else FdbPoly.const(other)))
-
-    def __mul__(self, other: "FdbPoly | Fraction | int") -> FdbPoly:
-        if isinstance(other, (int, Fraction)):
-            return FdbPoly({k: c * other for k, c in self._terms.items()})
-        if not isinstance(other, FdbPoly):
-            return NotImplemented
-        out: dict[TermKey, Fraction | int] = {}
-        for (ya, xa), ca in self._terms.items():
-            for (yb, xb), cb in other._terms.items():
-                key = (_merge_keys(ya, yb), _merge_keys(xa, xb))
-                out[key] = out.get(key, 0) + ca * cb
-        return FdbPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> FdbPoly:
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("FdbPoly powers must be nonnegative integers")
-        out = FdbPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def derive(self) -> FdbPoly:
         """Apply D (y_i -> y_{i+1} x_1, x_j -> x_{j+1}) by the Leibniz rule."""

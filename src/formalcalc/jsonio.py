@@ -14,8 +14,8 @@ from importlib import resources
 from typing import Any
 
 from .algebra import Element, Exponent, Monomial, YSeries
-from .faadibruno import FdbPoly, TermKey, UmbralShift
-from .params import ParamKey, ParamPoly
+from .faadibruno import FdbPoly, UmbralShift
+from .params import ParamPoly
 from .qpoly import QPoly
 from .report import VerifyReport
 
@@ -36,11 +36,11 @@ def parampoly_to_json(p: ParamPoly) -> list[dict[str, Any]]:
 
 
 def parampoly_from_json(data: list[dict[str, Any]]) -> ParamPoly:
-    out: dict[ParamKey, Fraction] = {}
+    pairs = []
     for term in data:
         key = tuple(sorted((str(n), int(p)) for n, p in term["powers"].items()))
-        out[key] = out.get(key, 0) + Fraction(term["coeff"])
-    return ParamPoly(out)
+        pairs.append((key, Fraction(term["coeff"])))
+    return ParamPoly.from_terms(pairs)
 
 
 def exponent_to_json(e: Exponent) -> dict[str, Any]:
@@ -113,12 +113,12 @@ def fdbpoly_to_json(p: FdbPoly) -> list[dict[str, Any]]:
 
 
 def fdbpoly_from_json(data: list[dict[str, Any]]) -> FdbPoly:
-    out: dict[TermKey, Fraction] = {}
+    pairs = []
     for term in data:
         ys = tuple(sorted((int(i), int(e)) for i, e in term["outer"].items()))
         xs = tuple(sorted((int(j), int(e)) for j, e in term["inner"].items()))
-        out[(ys, xs)] = out.get((ys, xs), 0) + Fraction(term["coeff"])
-    return FdbPoly(out)
+        pairs.append(((ys, xs), Fraction(term["coeff"])))
+    return FdbPoly.from_terms(pairs)
 
 
 def report_to_json(r: VerifyReport) -> dict[str, Any]:

@@ -1,30 +1,40 @@
-"""Exact polynomials in named symbolic parameters over the rationals.
+"""Exact polynomials in named symbolic parameters, and the sparse core.
 
-These are the coefficients of everything else in the package.  When a power
-like ``x^r`` is expanded, the coefficient of each term is a polynomial in
-``r`` with rational coefficients (e.g. ``1/2*r^2 - 1/2*r``); keeping those
-polynomials exact is what lets identities be checked by equality instead of
-by numerical comparison.
+Parameter polynomials are the coefficients of everything else in the
+package.  When a power like ``x^r`` is expanded, the coefficient of each
+term is a polynomial in ``r`` with rational coefficients (e.g.
+``1/2*r^2 - 1/2*r``); keeping those polynomials exact is what lets
+identities be checked by equality instead of by numerical comparison.  A
+ParamPoly maps a parameter monomial to its value; a parameter monomial is a
+tuple of ``(name, power)`` pairs sorted by name with all powers >= 1, and
+the empty tuple is the constant monomial.
 
-Representation: a dict mapping a parameter monomial to its value.  A
-parameter monomial is a tuple of ``(name, power)`` pairs sorted by name with
-all powers >= 1; the empty tuple is the constant monomial.  A value is
-stored as a plain ``int`` when it is an integer and as a ``Fraction``
-otherwise, so integer-valued polynomials multiply and add in integer
-arithmetic.  Zero values are never stored, so two polynomials are equal
-exactly when their dicts are equal (an ``int`` and a ``Fraction`` of the
-same value compare and hash alike).
+``Sparse`` is the one sparse-polynomial core: a dict from key to value that
+ParamPoly, ``algebra.Element`` and ``faadibruno.FdbPoly`` share.  It owns
+construction, equality, sums, products and powers; each subclass keeps its
+key layout, accessors and printing, and sets three class attributes:
 
-Where no parameter appears, the rest of the package holds a coefficient as a
-plain ``int`` or ``Fraction`` rather than a constant ParamPoly: see
-``canonical_coeff``.  The two forms of one value compare equal.
+- ``_UNIT``, the key of the constant term;
+- ``_SCALARS``, the types that multiply as constants (``int`` and
+  ``Fraction``, and for Element also ParamPoly);
+- ``_key_mul``, the product of two keys.
+
+Every value is kept in stored form: a plain ``int`` when it is an integer,
+a ``Fraction`` when it is another rational, and a ParamPoly (as an Element
+coefficient) only when a parameter appears; see ``canonical_coeff``.  So
+integer-valued polynomials multiply and add in integer arithmetic.  Zero
+values are never stored, so two sums are equal exactly when their dicts are
+equal (an ``int`` and a ``Fraction`` of the same value compare and hash
+alike, and a coefficient equals the same value held as a constant
+ParamPoly).  ``_accumulate`` is the one place where values are summed and
+put back in stored form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Mapping
+from typing import Any, Callable, ClassVar, Hashable, Iterable, Mapping
 
 from . import render
 
@@ -45,15 +55,6 @@ def _key_degree(key: ParamKey) -> int:
     return sum(p for _, p in key)
 
 
-def _stored(value: object) -> Scalar:
-    """A rational in stored form: ``int`` when integral, else ``Fraction``."""
-    if type(value) is int:
-        return value
-    if type(value) is not Fraction:
-        value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
-
-
 def _scalar_product(v: Scalar, c: Scalar) -> Scalar:
     """v * c in stored form, for stored-form v and c."""
     if type(v) is int:
@@ -67,66 +68,107 @@ def _scalar_product(v: Scalar, c: Scalar) -> Scalar:
     return q.numerator if q.denominator == 1 else q
 
 
-class ParamPoly:
-    """Polynomial in symbolic parameters with exact rational values.
+def _accumulate(acc: dict, key: Hashable, c: Coeff) -> None:
+    """acc[key] += c, leaving the sum in stored form and dropping it when zero.
 
-    Each value is held as an ``int`` when it is an integer and as a
-    ``Fraction`` otherwise (see ``_stored``).
+    ``c`` is an ``int``, a ``Fraction`` or a ParamPoly in any form: an
+    integral Fraction is stored as an ``int``, a constant ParamPoly demoted.
+    """
+    prior = acc.get(key)
+    if prior is not None:
+        c = prior + c
+    kind = type(c)
+    if kind is Fraction:
+        if c.denominator == 1:
+            c = c.numerator
+    elif kind is ParamPoly:
+        c = c.demoted()
+    if c:
+        acc[key] = c
+    elif prior is not None:
+        del acc[key]
+
+
+def _mul_into(acc: dict, ta: dict, tb: dict, key_mul: Callable, scale: int = 1) -> None:
+    """acc += scale * ta * tb, where ``key_mul`` multiplies two keys."""
+    for ka, ca in ta.items():
+        if scale != 1:
+            ca = ca * scale
+        for kb, cb in tb.items():
+            _accumulate(acc, key_mul(ka, kb), ca * cb)
+
+
+def _scaled(terms: dict, c: Coeff) -> dict:
+    """c * terms for a nonzero stored-form c, in stored form."""
+    if type(c) is ParamPoly:
+        return {k: c * v for k, v in terms.items()}
+    return {
+        k: ParamPoly._of(_scaled(v._terms, c))
+        if type(v) is ParamPoly
+        else _scalar_product(v, c)
+        for k, v in terms.items()
+    }
+
+
+class Sparse:
+    """A finite sum of keyed terms whose values are nonzero and in stored form.
+
+    The ring operations of ParamPoly, ``algebra.Element`` and
+    ``faadibruno.FdbPoly``.  A subclass sets ``_UNIT``, ``_SCALARS`` and
+    ``_key_mul`` (see the module docstring).
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[ParamKey, Scalar] | None = None):
-        self._terms: dict[ParamKey, Scalar] = {}
-        if terms:
-            for key, value in terms.items():
-                value = _stored(value)
-                if value:
-                    self._terms[key] = value
+    _UNIT: ClassVar[Hashable]
+    _SCALARS: ClassVar[tuple[type, ...]]
+    _key_mul: ClassVar[Callable[[Any, Any], Hashable]]
+
+    def __init__(self, terms: Mapping[Any, object] | None = None):
+        self._terms: dict[Any, Coeff] = {}
+        for key, value in (terms or {}).items():
+            value = canonical_coeff(value)
+            if value:
+                self._terms[key] = value
 
     @classmethod
-    def _of(cls, terms: dict[ParamKey, Scalar]) -> ParamPoly:
+    def _of(cls, terms: dict) -> Sparse:
         """Wrap a dict that already holds only nonzero stored-form values."""
         out = object.__new__(cls)
         out._terms = terms
         return out
 
     @classmethod
-    def zero(cls) -> ParamPoly:
-        return cls()
+    def from_terms(cls, pairs: Iterable[tuple[Any, object]]) -> Sparse:
+        """The sum of the ``(key, value)`` pairs; a key may occur more than once."""
+        acc: dict[Any, Coeff] = {}
+        for key, value in pairs:
+            _accumulate(acc, key, canonical_coeff(value))
+        return cls._of(acc)
 
     @classmethod
-    def one(cls) -> ParamPoly:
-        return cls.const(1)
+    def zero(cls) -> Sparse:
+        return cls._of({})
 
     @classmethod
-    def const(cls, value: Scalar) -> ParamPoly:
-        return cls({(): value})
+    def one(cls) -> Sparse:
+        return cls._of({cls._UNIT: 1})
 
     @classmethod
-    def param(cls, name: str) -> ParamPoly:
-        if not name:
-            raise ValueError("parameter name must be nonempty")
-        return cls._of({((name, 1),): 1})
+    def const(cls, value: object) -> Sparse:
+        return cls({cls._UNIT: value})
 
-    @staticmethod
-    def _coerce(value: object) -> ParamPoly | None:
-        if isinstance(value, ParamPoly):
+    @classmethod
+    def _coerce(cls, value: object) -> Sparse | None:
+        if isinstance(value, cls):
             return value
-        if isinstance(value, (int, Fraction)):
-            return ParamPoly.const(value)
+        if isinstance(value, cls._SCALARS):
+            return cls.const(value)
         return None
 
-    def items(self) -> Iterator[tuple[ParamKey, Scalar]]:
-        return iter(self._terms.items())
-
-    def sorted_items(self) -> list[tuple[ParamKey, Scalar]]:
-        return sorted(self._terms.items(), key=lambda kv: (-_key_degree(kv[0]), kv[0]))
-
-    @property
-    def denominator(self) -> int:
-        """The least d > 0 that makes every value of ``d * self`` an integer."""
-        return lcm(*(v.denominator for v in self._terms.values()))
+    def items(self) -> Iterable[tuple[Any, Coeff]]:
+        """(key, value) pairs with the values as stored."""
+        return self._terms.items()
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -140,86 +182,100 @@ class ParamPoly:
             return NotImplemented
         return self._terms == o._terms
 
-    def __add__(self, other: object) -> ParamPoly:
-        if type(other) is int or type(other) is Fraction:
-            out = dict(self._terms)
-            s = _stored(out.get((), 0) + other)
-            if s:
-                out[()] = s
-            else:
-                out.pop((), None)
-            return ParamPoly._of(out)
+    def __add__(self, other: object) -> Sparse:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         out = dict(self._terms)
-        for key, v in o._terms.items():
-            s = out.get(key)
-            s = v if s is None else _stored(s + v)
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return ParamPoly._of(out)
+        for key, value in o._terms.items():
+            _accumulate(out, key, value)
+        return self._of(out)
 
     __radd__ = __add__
 
-    def __neg__(self) -> ParamPoly:
-        return ParamPoly._of({k: -v for k, v in self._terms.items()})
+    def __neg__(self) -> Sparse:
+        return self._of({k: -v for k, v in self._terms.items()})
 
-    def __sub__(self, other: object) -> ParamPoly:
+    def __sub__(self, other: object) -> Sparse:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other: object) -> ParamPoly:
+    def __rsub__(self, other: object) -> Sparse:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return o + (-self)
 
-    def _scaled(self, c: Scalar) -> ParamPoly:
-        c = _stored(c)
+    def __mul__(self, other: object) -> Sparse:
+        if isinstance(other, self._SCALARS):
+            base, c = self, canonical_coeff(other)
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+            # a lone constant term is by far the common factor; it only scales
+            a, b, unit = self._terms, o._terms, self._UNIT
+            if len(b) == 1 and unit in b:
+                base, c = self, b[unit]
+            elif len(a) == 1 and unit in a:
+                base, c = o, a[unit]
+            else:
+                out: dict[Any, Coeff] = {}
+                _mul_into(out, a, b, self._key_mul)
+                return self._of(out)
         if not c:
-            return ParamPoly()
-        if c == 1:  # values are immutable, so self serves
-            return self
-        terms = self._terms
-        if type(c) is int:  # the common case: integer values stay integers
-            return ParamPoly._of(
-                {k: v * c if type(v) is int else _scalar_product(v, c) for k, v in terms.items()}
-            )
-        return ParamPoly._of({k: _scalar_product(v, c) for k, v in terms.items()})
-
-    def __mul__(self, other: object) -> ParamPoly:
-        if type(other) is int or type(other) is Fraction:
-            return self._scaled(other)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # constant factors are by far the common case; skip the key merge
-        a, b = self._terms, o._terms
-        if len(a) == 1 and () in a:
-            return o._scaled(a[()])
-        if len(b) == 1 and () in b:
-            return self._scaled(b[()])
-        out: dict[ParamKey, Scalar] = {}
-        for ka, va in a.items():
-            for kb, vb in b.items():
-                key = _merge_keys(ka, kb)
-                out[key] = out.get(key, 0) + va * vb
-        return ParamPoly(out)
+            return self._of({})
+        if c == 1:  # values are never mutated, so the factor serves as it is
+            return base
+        return self._of(_scaled(base._terms, c))
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> ParamPoly:
+    def __pow__(self, n: int) -> Sparse:
         if not isinstance(n, int) or n < 0:
-            raise ValueError("ParamPoly powers must be nonnegative integers")
-        out = ParamPoly.one()
-        for _ in range(n):
-            out = out * self
+            raise ValueError(f"{type(self).__name__} powers must be nonnegative integers")
+        out = self.one()
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
+
+
+class ParamPoly(Sparse):
+    """Polynomial in symbolic parameters with exact rational values.
+
+    Keys are parameter monomials (``ParamKey``).  Each value is held as an
+    ``int`` when it is an integer and as a ``Fraction`` otherwise.
+    """
+
+    __slots__ = ()
+    _UNIT = ()
+    _SCALARS = (int, Fraction)
+    _key_mul = staticmethod(_merge_keys)
+    # bound here too: the per-layer tracer (perfbench/spans.py) wraps only the
+    # methods in a class's own __dict__, and counts these two
+    __add__ = __radd__ = Sparse.__add__
+    __mul__ = __rmul__ = Sparse.__mul__
+
+    @classmethod
+    def param(cls, name: str) -> ParamPoly:
+        if not name:
+            raise ValueError("parameter name must be nonempty")
+        return cls._of({((name, 1),): 1})
+
+    def sorted_items(self) -> list[tuple[ParamKey, Scalar]]:
+        return sorted(self._terms.items(), key=lambda kv: (-_key_degree(kv[0]), kv[0]))
+
+    @property
+    def denominator(self) -> int:
+        """The least d > 0 that makes every value of ``d * self`` an integer."""
+        return lcm(*(v.denominator for v in self._terms.values()))
 
     def parameters(self) -> set[str]:
         return {name for key in self._terms for name, _ in key}
@@ -249,12 +305,13 @@ class ParamPoly:
     def substitute(self, name: str, value: Scalar) -> ParamPoly:
         """Replace a parameter by an exact rational value."""
         v = Fraction(value)
-        out: dict[ParamKey, Scalar] = {}
-        for key, coeff in self._terms.items():
-            power = dict(key).get(name, 0)
-            rest = tuple(pair for pair in key if pair[0] != name)
-            out[rest] = out.get(rest, 0) + coeff * v**power
-        return ParamPoly(out)  # drops the zero sums
+        return ParamPoly.from_terms(
+            (
+                tuple(pair for pair in key if pair[0] != name),
+                coeff * v ** dict(key).get(name, 0),
+            )
+            for key, coeff in self._terms.items()
+        )
 
     def __str__(self) -> str:
         return render.parampoly(render.TEXT, self)
@@ -273,9 +330,13 @@ def canonical_coeff(value: object) -> Coeff:
     another rational, and a ParamPoly only when a parameter appears.
     ParamPoly constants are demoted; other numbers go through ``Fraction``.
     """
+    if type(value) is int:
+        return value
     if isinstance(value, ParamPoly):
         return value.demoted()
-    return _stored(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def as_parampoly(value: Coeff) -> ParamPoly:

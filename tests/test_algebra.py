@@ -8,6 +8,7 @@ import pytest
 from formalcalc.algebra import Element, Exponent, Monomial, YSeries, binom, gen_name
 from formalcalc.checks import random_element
 from formalcalc.params import ParamPoly
+from formalcalc.parser import parse_element
 
 
 def test_exponent_arithmetic():
@@ -117,7 +118,26 @@ def test_element_strings():
     assert str(Element.one() - Element.gen(0)) == "1 - x"
 
 
+def assert_stored_coefficients(a: Element) -> None:
+    """Every raw coefficient is nonzero: an int when integral, a Fraction
+    when another rational, and a ParamPoly only when a parameter appears."""
+    for _, c in a.raw_items():
+        assert c, a
+        if isinstance(c, ParamPoly):
+            assert c.parameters(), a
+        else:
+            assert type(c) is (int if c.denominator == 1 else Fraction), a
+
+
 def test_element_ring_laws_random():
+    # an integral sum or product of Fraction coefficients is stored as an int
+    x = Element.gen(0)
+    for a, want in (
+        (parse_element("1/2*x + 1/2*x"), x),
+        (parse_element("3/2*x") * parse_element("2/3*x"), x * x),
+    ):
+        assert a == want
+        assert_stored_coefficients(a)
     rng = Random(7)
     for _ in range(30):
         a = random_element(rng, params=("r",))
@@ -126,6 +146,10 @@ def test_element_ring_laws_random():
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
+        assert a ** 3 == a * a * a
+        assert a - a == 0
+        for value in (a + b, a * b, a ** 2):
+            assert_stored_coefficients(value)
 
 
 def test_yseries_basics():

@@ -137,7 +137,11 @@ def test_parse_errors_exit_2_with_diagnostic():
 
 
 def test_negative_order_rejected():
-    assert run_cli("expand", "--expr", "x", "--order", "-1").returncode == 2
+    for command in ("expand", "lift"):
+        result = run_cli(command, "--expr", "x", "--order", "-1")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "formalcalc: --order must be nonnegative\n"
     assert run_cli("stirling-table", "--max", "-2").returncode == 2
 
 
@@ -154,6 +158,8 @@ def test_zero_case_sweeps_are_usage_errors():
         (("verify", "intertwine", "--max-index", "-1", "--trials", "3"), 0),
         (("verify", "intertwine", "--max-index", "-1", "--trials", "0"), 0),
         (("verify", "lubell", "--max", "0", "--pair-sum", "0"), 1),
+        (("verify", "lubell", "--pair-sum", "-5", "--max", "2"), 1),
+        (("verify", "intertwine", "--trials", "-4"), 1),
     ):
         result = run_cli(*args)
         assert result.returncode == 2, args

@@ -57,6 +57,19 @@ def test_taylor_coefficients_divide_by_factorials():
     assert coeffs[4] == tower[4] * Fraction(1, 24)
 
 
+def random_fdbpoly(rng: Random) -> FdbPoly:
+    """A few terms in y_0..y_2 and x_1..x_3, values mixing int and Fraction."""
+    values = (1, -2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(6, 3), Fraction(-5, 4))
+
+    def powers(first: int) -> tuple:
+        drawn = ((i, rng.randrange(3)) for i in range(first, first + 3))
+        return tuple((i, e) for i, e in drawn if e)
+
+    return FdbPoly(
+        {(powers(0), powers(1)): rng.choice(values) for _ in range(rng.randrange(1, 4))}
+    )
+
+
 def test_fdbpoly_arithmetic():
     p = y(1) * x(1) + 2
     q = p - 2
@@ -65,13 +78,35 @@ def test_fdbpoly_arithmetic():
     assert p ** 2 == p * p
     with pytest.raises(ValueError):
         p ** -1
-    # one storage rule (params._stored): int when integral, Fraction otherwise
+    # one storage rule (params.canonical_coeff): int when integral, Fraction otherwise
     parsed = parse_fdb("2*y_1*x_1 + y_2")
     decoded = fdbpoly_from_json(fdbpoly_to_json(derivative_tower(4)[4]))
     for poly in (parsed, decoded, parsed * parsed, p * p, taylor_coefficients(1)[1]):
         assert all(type(c) is int for _, c in poly.items()), poly
     half = p * Fraction(1, 2)
     assert {type(c) for _, c in half.items()} == {Fraction, int}
+    # +, -, * and squaring against sympy.expand on seeded random values
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(poly: FdbPoly):
+        return sum(
+            (
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(sympy.Symbol(f"y_{i}") ** e for i, e in ys))
+                * sympy.Mul(*(sympy.Symbol(f"x_{j}") ** e for j, e in xs))
+                for (ys, xs), c in poly.items()
+            ),
+            sympy.Integer(0),
+        )
+
+    rng = Random(60)
+    for _ in range(50):
+        a, b = random_fdbpoly(rng), random_fdbpoly(rng)
+        sa, sb = to_sympy(a), to_sympy(b)
+        for got, want in ((a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb), (a ** 2, sa ** 2)):
+            assert sympy.expand(to_sympy(got) - want) == 0, (a, b)
+            for _, c in got.items():
+                assert c and type(c) is (int if c.denominator == 1 else Fraction), got
 
 
 def test_fdbpoly_string():

@@ -128,7 +128,7 @@ def test_values_compare_and_hash_alike_in_either_form():
 
 
 def test_arithmetic_matches_sympy():
-    """+, -, * and scaling against sympy, on values mixing int and Fraction."""
+    """+, -, *, scaling and powers against sympy, on values mixing int and Fraction."""
     sympy = pytest.importorskip("sympy")
     symbols = {"r": sympy.Symbol("r"), "s": sympy.Symbol("s")}
 
@@ -155,6 +155,7 @@ def test_arithmetic_matches_sympy():
             (a * c, sa * sc),
             (c * a, sa * sc),
             (a + c, sa + sc),
+            *((a ** k, sa ** k) for k in range(4)),
         ):
             assert sympy.expand(to_sympy(got) - want) == 0, (a, b, c)
             assert_stored_form(got)

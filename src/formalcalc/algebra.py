@@ -16,6 +16,14 @@ polynomial in a central variable y of bounded degree with Element
 coefficients; it is the truncation type for exponential-of-derivation
 series, and arithmetic on series truncates to the smaller order.
 
+Exponents are hash-consed, and two module tables serve that:
+
+- the intern table ``_INTERN`` holds one entry per distinct exponent value
+  ever built in the process, and is never emptied;
+- the sum memo ``_SUMS`` maps a pair of summands to their sum, so a
+  monomial product adds two exponents with one dict lookup.  It holds at
+  most ``_SUM_MEMO_SIZE`` entries: it is emptied when it reaches that size.
+
 Also here: ``binom(e, n)``, the algebraic binomial coefficient
 e*(e-1)*...*(e-n+1)/n!, which is a parameter polynomial when e is.
 """
@@ -23,7 +31,6 @@ e*(e-1)*...*(e-n+1)/n!, which is a parameter polynomial when e is.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable, Iterator, Sequence
@@ -41,68 +48,66 @@ from .params import (
 )
 
 
-# Interned constant exponents; the derivative loop decrements exponents
-# constantly and small integers dominate.
-_INT_EXPONENTS: "dict[int, Exponent]" = {}
+_new = object.__new__
+_set = object.__setattr__
+
+# The intern table: one Exponent per distinct value, keyed by the constant
+# alone when there is no parameter and by (const, linear) otherwise.
+_INTERN: "dict[object, Exponent]" = {}
+
+# Memo of exponent sums, keyed by the identical summands.  It is emptied
+# whenever it reaches _SUM_MEMO_SIZE entries, so it never holds more.
+_SUM_MEMO_SIZE = 4096
+_SUMS: "dict[tuple[Exponent, Exponent], Exponent]" = {}
 
 
-@dataclass(frozen=True)
 class Exponent:
     """An exponent: rational constant plus integer multiples of parameters.
 
     ``Exponent(2)`` is the plain exponent 2; ``Exponent(-1, {"r": 2})`` is
-    2r - 1.  Instances are canonical (linear part sorted, zero coefficients
-    dropped) and hashable, so they can sit inside monomial keys.
+    2r - 1.  ``const`` is an ``int`` when integral and a ``Fraction``
+    otherwise; ``linear`` is sorted by name with zero coefficients dropped.
+
+    Exponents are interned: every route that builds one (the constructor,
+    ``of``, ``param``, arithmetic, ``substitute``, unpickling) returns the
+    one instance of its value.  So equal exponents are identical, and
+    equality and hashing are the object defaults, by identity.  Instances
+    are immutable.
     """
 
-    const: Fraction = Fraction(0)
-    linear: tuple[tuple[str, int], ...] = ()
+    __slots__ = ("const", "linear", "_dec", "_poly", "_coeff")
 
-    def __post_init__(self) -> None:
-        if type(self.const) is not Fraction:
-            object.__setattr__(self, "const", Fraction(self.const))
-        if self.linear:
-            lin = dict(self.linear)
-            object.__setattr__(
-                self, "linear", tuple(sorted((n, int(m)) for n, m in lin.items() if m))
-            )
+    const: Scalar
+    linear: tuple[tuple[str, int], ...]
 
-    def __hash__(self) -> int:
-        # Fraction hashing is expensive (modular inverse); cache per instance.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            # hash(-1) == hash(-2) in CPython, and -1 and -2 are the commonest
-            # exponents; doubling the numerator keeps them apart
-            h = hash((2 * self.const.numerator, self.const.denominator, self.linear))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __new__(cls, const: Scalar = 0, linear: Iterable[tuple[str, int]] = ()) -> Exponent:
+        if linear:
+            linear = tuple(sorted((n, int(m)) for n, m in dict(linear).items() if m))
+        return _intern(const, linear)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Exponent):
-            return NotImplemented
-        if self.__hash__() != other.__hash__():
-            return False
-        return self.const == other.const and self.linear == other.linear
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Exponent is immutable")
 
     def __reduce__(self) -> tuple:
-        # rebuild from the fields: the per-instance caches (hash included) stay behind
+        # rebuild through the constructor, which returns the interned instance
         return (Exponent, (self.const, self.linear))
+
+    def __repr__(self) -> str:
+        return f"Exponent(const={self.const!r}, linear={self.linear!r})"
 
     @classmethod
     def of(cls, value: "Exponent | Scalar") -> Exponent:
         if isinstance(value, Exponent):
             return value
-        return _constant_exponent(value if isinstance(value, int) else Fraction(value))
+        return _INTERN.get(value) or _intern(value, ())
 
     @classmethod
     def param(cls, name: str, coeff: int = 1, const: Scalar = 0) -> Exponent:
-        return cls(Fraction(const), ((name, coeff),))
+        return cls(const, ((name, coeff),))
 
     @property
     def is_zero(self) -> bool:
-        return not self.linear and self.const == 0
+        return self is _ZERO
 
     @property
     def is_constant(self) -> bool:
@@ -110,49 +115,36 @@ class Exponent:
 
     def as_integer(self) -> int | None:
         """The exponent as a plain int, or None if symbolic or fractional."""
-        if self.linear or self.const.denominator != 1:
+        if self.linear or type(self.const) is not int:
             return None
-        return int(self.const)
-
-    def _combine(self, other: object, sign: int) -> Exponent:
-        if isinstance(other, (int, Fraction)):
-            const = self.const + sign * other
-            if not self.linear:
-                return _constant_exponent(const)
-            return Exponent(const, self.linear)
-        if not isinstance(other, Exponent):
-            return NotImplemented
-        const = self.const + sign * other.const
-        if not other.linear:
-            if not self.linear:
-                return _constant_exponent(const)
-            return Exponent(const, self.linear)
-        lin = dict(self.linear)
-        for name, m in other.linear:
-            lin[name] = lin.get(name, 0) + sign * m
-        return Exponent(const, tuple(lin.items()))
+        return self.const
 
     def __add__(self, other: object) -> Exponent:
-        return self._combine(other, 1)
+        if not isinstance(other, Exponent):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Exponent.of(other)
+        return _SUMS.get((self, other)) or _sum(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> Exponent:
-        return self._combine(other, -1)
+        if isinstance(other, (int, Fraction)):
+            return self + Exponent.of(-other)
+        if not isinstance(other, Exponent):
+            return NotImplemented
+        return self + -other
 
     def decremented(self) -> Exponent:
         """Cached ``self - 1``; the derivation loop asks for it constantly."""
-        d = self.__dict__.get("_dec")
+        d = self._dec
         if d is None:
-            if self.linear:
-                d = Exponent(self.const - 1, self.linear)
-            else:
-                d = _constant_exponent(self.const - 1)
-            object.__setattr__(self, "_dec", d)
+            d = _intern(self.const - 1, self.linear)
+            _set(self, "_dec", d)
         return d
 
     def __neg__(self) -> Exponent:
-        return Exponent(-self.const, tuple((n, -m) for n, m in self.linear))
+        return _intern(-self.const, tuple((n, -m) for n, m in self.linear))
 
     def __mul__(self, other: object) -> Exponent:
         """Scale by an integer (rationals allowed only when there is no linear part)."""
@@ -167,27 +159,28 @@ class Exponent:
     __rmul__ = __mul__
 
     def to_parampoly(self) -> ParamPoly:
-        cached = self.__dict__.get("_poly")
+        cached = self._poly
         if cached is None:
             cached = ParamPoly.const(self.const)
             for name, m in self.linear:
                 cached = cached + m * ParamPoly.param(name)
-            object.__setattr__(self, "_poly", cached)
+            _set(self, "_poly", cached)
         return cached
 
     def as_coeff(self) -> Coeff:
         """The exponent as an algebra coefficient (see ``canonical_coeff``); cached."""
-        cached = self.__dict__.get("_coeff")
+        cached = self._coeff
         if cached is None:
             cached = canonical_coeff(self.to_parampoly())
-            object.__setattr__(self, "_coeff", cached)
+            _set(self, "_coeff", cached)
         return cached
 
     def substitute(self, name: str, value: Scalar) -> Exponent:
-        v = Fraction(value)
         lin = dict(self.linear)
         m = lin.pop(name, 0)
-        return Exponent(self.const + m * v, tuple(lin.items()))
+        if not m:
+            return self
+        return Exponent(self.const + m * Fraction(value), tuple(lin.items()))
 
     def sort_key(self) -> tuple:
         return (self.linear, self.const)
@@ -196,17 +189,41 @@ class Exponent:
         return render.exponent(render.TEXT, self)
 
 
-def _constant_exponent(const: Scalar) -> Exponent:
-    """Constant exponent, interned when it is a small integer."""
-    if type(const) is int or const.denominator == 1:
-        n = int(const)
-        if -64 <= n <= 64:
-            cached = _INT_EXPONENTS.get(n)
-            if cached is None:
-                cached = Exponent(Fraction(n))
-                _INT_EXPONENTS[n] = cached
-            return cached
-    return Exponent(const)
+def _intern(const: Scalar, linear: tuple[tuple[str, int], ...]) -> Exponent:
+    """The one Exponent of this value; ``linear`` must already be canonical."""
+    if type(const) is not int:
+        const = Fraction(const)
+        if const.denominator == 1:
+            const = const.numerator
+    key = (const, linear) if linear else const
+    e = _INTERN.get(key)
+    if e is None:
+        e = _new(Exponent)
+        _set(e, "const", const)
+        _set(e, "linear", linear)
+        _set(e, "_dec", None)
+        _set(e, "_poly", None)
+        _set(e, "_coeff", None)
+        _INTERN[key] = e
+    return e
+
+
+def _sum(a: Exponent, b: Exponent) -> Exponent:
+    """a + b, computed and put in the sum memo."""
+    if b.linear:
+        lin = dict(a.linear)
+        for name, m in b.linear:
+            lin[name] = lin.get(name, 0) + m
+        linear = tuple(sorted((n, m) for n, m in lin.items() if m))
+    else:
+        linear = a.linear
+    if len(_SUMS) >= _SUM_MEMO_SIZE:
+        _SUMS.clear()
+    e = _SUMS[a, b] = _intern(a.const + b.const, linear)
+    return e
+
+
+_ZERO = Exponent()
 
 
 def binom(exponent: "Exponent | Scalar", n: int) -> ParamPoly:
@@ -224,10 +241,6 @@ def binom(exponent: "Exponent | Scalar", n: int) -> ParamPoly:
     return out * Fraction(1, factorial(n))
 
 
-_new = object.__new__
-_set = object.__setattr__
-
-
 class Monomial:
     """A product of generator powers, e.g. x^r * log(x)^-2.
 
@@ -242,10 +255,8 @@ class Monomial:
         acc: dict[int, Exponent] = {}
         for index, e in powers:
             e = Exponent.of(e)
-            if not e.linear:
-                e = _constant_exponent(e.const)
             acc[index] = acc[index] + e if index in acc else e
-        canon = tuple(sorted((i, e) for i, e in acc.items() if not e.is_zero))
+        canon = tuple(sorted((i, e) for i, e in acc.items() if e is not _ZERO))
         _set(self, "powers", canon)
         _set(self, "_hash", hash(canon))
 
@@ -306,6 +317,7 @@ class Monomial:
         if b[-1][0] < a[0][0]:
             return Monomial._from_canonical(b + a)
         out = []
+        sums = _SUMS
         i = j = 0
         na, nb = len(a), len(b)
         while i < na and j < nb:
@@ -319,18 +331,9 @@ class Monomial:
                 j += 1
             else:
                 ea, eb = pa[1], pb[1]
-                if ea.linear or eb.linear:
-                    e = ea + eb
-                    if not e.is_zero:
-                        out.append((pa[0], e))
-                else:
-                    ca, cb = ea.const, eb.const
-                    if ca.denominator == 1 and cb.denominator == 1:
-                        c = ca.numerator + cb.numerator  # int sum: no Fraction arithmetic
-                    else:
-                        c = ca + cb
-                    if c:
-                        out.append((pa[0], _constant_exponent(c)))
+                e = sums.get((ea, eb)) or _sum(ea, eb)
+                if e is not _ZERO:
+                    out.append((pa[0], e))
                 i += 1
                 j += 1
         out.extend(a[i:])
@@ -341,7 +344,7 @@ class Monomial:
         for i, e in self.powers:
             if i == index:
                 return e
-        return Exponent()
+        return _ZERO
 
     def indices(self) -> list[int]:
         return [i for i, _ in self.powers]

@@ -11,7 +11,9 @@ Subcommands::
 
 with a global ``--format text|json|latex``.  Exit status: 0 on success or
 a passing verification, 1 when a verification fails, 2 on usage or parse
-errors.  Diagnostics go to stderr; results to stdout.  The only
+errors.  A reader that closes stdout early (``| head``) ends the command
+quietly: with its own exit code when the command had finished, else 141.
+Diagnostics go to stderr; results to stdout.  The only
 environment knobs are NO_COLOR / FORMALCALC_COLOR, which affect coloring
 of pass/FAIL words in text output and nothing else.
 """
@@ -37,6 +39,10 @@ from .qpoly import to_string as qpoly_str
 from .report import VerifyReport
 
 _GREEN, _RED, _RESET = "\x1b[32m", "\x1b[31m", "\x1b[0m"
+
+# The exit code when stdout closes before the command has finished: the
+# code a shell reports for a writer stopped by SIGPIPE (128 + 13).
+_EPIPE_EXIT = 141
 
 
 def _color_enabled() -> bool:
@@ -281,13 +287,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args)
-    except ParseError as exc:
+    except (ParseError, OverflowError) as exc:  # OverflowError: a documented cap
         print(f"formalcalc: {exc}", file=sys.stderr)
         return 2
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = _EPIPE_EXIT
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early, as ``| head`` does.  Send the rest
+        # to devnull so the interpreter's final flush stays quiet, and keep
+        # the command's own exit code: a closed pipe is no counterexample.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

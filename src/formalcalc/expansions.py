@@ -84,9 +84,11 @@ def log_power_series(exponent: "Exponent | Scalar", order: int) -> YSeries:
 
 def _tower_monomial(n: int, e: Exponent, drops: tuple[int, ...]) -> Monomial:
     """l_n^(e - drops[n]) * prod_{i<n} l_i^(-drops[i])."""
-    powers: list[tuple[int, Exponent]] = [(n, e - drops[n])]
-    powers.extend((i, Exponent.of(-drops[i])) for i in range(n))
-    return Monomial(tuple(powers))
+    powers = [(i, Exponent.of(-drops[i])) for i in range(n) if drops[i]]
+    top = e - drops[n]
+    if not top.is_zero:
+        powers.append((n, top))
+    return Monomial._from_canonical(tuple(powers))  # indices ascending and distinct
 
 
 def iterated_log_series(
@@ -101,8 +103,14 @@ def iterated_log_series(
         raise ValueError(f"unknown formula {form!r}; choose from {FORMS}")
     e = Exponent.of(exponent)
     binoms = [canonical_coeff(binom(e, j)) for j in range(order + 1)]
+    facts = [factorial(j) for j in range(order + 1)]
     # terms[k] collects the (monomial, coefficient) pairs of y^k
     terms: list[list[tuple[Monomial, Coeff]]] = [[] for _ in range(order + 1)]
+
+    def add(k: int, drops: tuple[int, ...], jn: int, weight: int) -> None:
+        """Add binom(e, j_n) * j_n!/k! * weight times the tower monomial to y^k."""
+        scale = Fraction(facts[jn] * weight, facts[k])  # the one Fraction of the term
+        terms[k].append((_tower_monomial(n, e, drops), binoms[jn] * scale))
 
     if form == "stirling":
         for j0 in range(order + 1):
@@ -112,31 +120,19 @@ def iterated_log_series(
             for js in _descending_chains(n, j0, 0):
                 tup = (j0,) + js
                 weight = prod(stirling1(tup[i], tup[i + 1]) for i in range(n))
-                if weight == 0:
-                    continue
-                jn = tup[n]
-                scale = (
-                    Fraction(factorial(jn), factorial(j0))
-                    * (-1) ** (j0 + jn)
-                    * weight
-                )
-                terms[j0].append((_tower_monomial(n, e, tup), binoms[jn] * scale))
+                if weight:
+                    jn = tup[n]
+                    add(j0, tup, jn, -weight if (j0 + jn) & 1 else weight)
 
     elif form == "chain":
         terms[0].append((Monomial.gen(n, e), 1))
         for k in range(1, order + 1):
             for js in _descending_chains(n, k, 1):
                 tup = (k,) + js  # (j_0=k, j_1, ..., j_n), all >= 1
-                jn = tup[n]
                 s_value = stirling_chain(tuple(reversed(tup)))
-                if s_value == 0:
-                    continue
-                scale = (
-                    Fraction(factorial(jn), factorial(k))
-                    * (-1) ** (k + jn)
-                    * s_value
-                )
-                terms[k].append((_tower_monomial(n, e, tup), binoms[jn] * scale))
+                if s_value:
+                    jn = tup[n]
+                    add(k, tup, jn, -s_value if (k + jn) & 1 else s_value)
 
     else:  # symmetric
         for k in range(order + 1):
@@ -145,12 +141,8 @@ def iterated_log_series(
                 for i in range(n, -1, -1):
                     suffix[i] = suffix[i + 1] + js[i]
                 weight = prod(signed_esym(js[i], suffix[i + 1]) for i in range(n))
-                if weight == 0:
-                    continue
-                jn = js[n]
-                scale = Fraction(factorial(jn), factorial(k)) * weight
-                mono = _tower_monomial(n, e, tuple(suffix[: n + 1]))
-                terms[k].append((mono, binoms[jn] * scale))
+                if weight:
+                    add(k, tuple(suffix[: n + 1]), js[n], weight)
 
     return YSeries([Element.from_terms(t) for t in terms])
 

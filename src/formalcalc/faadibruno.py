@@ -30,12 +30,20 @@ from math import comb, factorial
 from typing import Sequence
 
 from . import qpoly, render
-from .params import Sparse, _merge_keys
+from .params import Sparse
 from .qpoly import QPoly
 
 # A symbol-power table: ((index, exponent), ...) sorted, exponents >= 1.
 SymKey = tuple[tuple[int, int], ...]
 TermKey = tuple[SymKey, SymKey]  # (outer powers, inner powers)
+
+
+def _merge_keys(a: SymKey, b: SymKey) -> SymKey:
+    """The product of two symbol-power tables."""
+    powers = dict(a)
+    for i, p in b:
+        powers[i] = powers.get(i, 0) + p
+    return tuple(sorted((i, p) for i, p in powers.items() if p))
 
 
 class ConsistencyError(RuntimeError):

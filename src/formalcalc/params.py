@@ -5,9 +5,23 @@ package.  When a power like ``x^r`` is expanded, the coefficient of each
 term is a polynomial in ``r`` with rational coefficients (e.g.
 ``1/2*r^2 - 1/2*r``); keeping those polynomials exact is what lets
 identities be checked by equality instead of by numerical comparison.  A
-ParamPoly maps a parameter monomial to its value; a parameter monomial is a
-tuple of ``(name, power)`` pairs sorted by name with all powers >= 1, and
-the empty tuple is the constant monomial.
+ParamPoly maps a parameter monomial to its value.  In public (``__init__``,
+``from_terms``, ``items``, ``sorted_items``, printing, JSON and pickles) a
+parameter monomial is a ``ParamKey``: a tuple of ``(name, power)`` pairs
+sorted by name with all powers >= 1, the empty tuple being the constant
+monomial.
+
+Inside, a parameter monomial is one packed ``int`` (the packed monomials
+of Monagan and Pearce, "Sparse polynomial division using a heap", J. Symb.
+Comp. 2011).  Each parameter name gets a slot, in the order the names are
+first met, and slot i is the bit field ``[64*i, 64*i + 64)`` of the key:
+63 bits for the power and a top guard bit.  So the key product is one
+integer addition, and the constant monomial is 0.  A product whose power
+exceeds ``POWER_CAP`` = 2^63 - 1 sets a guard bit, before any carry can
+reach a neighbouring field, and raises OverflowError naming the cap.  The
+slot table holds one entry per distinct parameter name and is never
+emptied.  Slots never leak out: the public forms unpack to names, so
+printing orders parameters by name whatever order they were met in.
 
 ``Sparse`` is the one sparse-polynomial core: a dict from key to value that
 ParamPoly, ``algebra.Element`` and ``faadibruno.FdbPoly`` share.  It owns
@@ -17,7 +31,8 @@ key layout, accessors and printing, and sets three class attributes:
 - ``_UNIT``, the key of the constant term;
 - ``_SCALARS``, the types that multiply as constants (``int`` and
   ``Fraction``, and for Element also ParamPoly);
-- ``_key_mul``, the product of two keys.
+- ``_key_mul``, the product of two keys.  ParamPoly sets none and instead
+  overrides ``_product``, the whole term product, with an inline loop.
 
 Every value is kept in stored form: a plain ``int`` when it is an integer,
 a ``Fraction`` when it is another rational, and a ParamPoly (as an Element
@@ -34,7 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Any, Callable, ClassVar, Hashable, Iterable, Mapping
+from typing import Any, Callable, ClassVar, Hashable, Iterable, Iterator, Mapping
 
 from . import render
 
@@ -43,16 +58,61 @@ Scalar = int | Fraction
 # ((name, power), ...) sorted by name, powers >= 1; () is the constant term.
 ParamKey = tuple[tuple[str, int], ...]
 
+_FIELD = 64  # bits per parameter slot: the power, then one guard bit
+POWER_CAP = (1 << (_FIELD - 1)) - 1  # the largest power a parameter may carry
+_SHIFTS: dict[str, int] = {}  # parameter name -> bit offset of its field
+_BY_NAME: list[tuple[str, int]] = []  # (name, offset), sorted by name
+_GUARDS = 0  # the guard bit of every registered field
 
-def _merge_keys(a: ParamKey, b: ParamKey) -> ParamKey:
-    powers = dict(a)
-    for name, p in b:
-        powers[name] = powers.get(name, 0) + p
-    return tuple(sorted((n, p) for n, p in powers.items() if p))
+
+def _shift(name: str) -> int:
+    """The bit offset of the field of ``name``, registering the name on first use."""
+    global _GUARDS
+    offset = _SHIFTS.get(name)
+    if offset is None:
+        if not name:
+            raise ValueError("parameter name must be nonempty")
+        offset = _SHIFTS[name] = _FIELD * len(_SHIFTS)
+        _BY_NAME.append((name, offset))
+        _BY_NAME.sort()
+        _GUARDS |= 1 << (offset + _FIELD - 1)
+    return offset
 
 
-def _key_degree(key: ParamKey) -> int:
-    return sum(p for _, p in key)
+def _pack(key: ParamKey) -> int:
+    """The packed key of a ``ParamKey``; repeated names add their powers."""
+    packed = 0
+    for name, power in key:
+        if power < 0:
+            raise ValueError(f"parameter powers must be nonnegative, not {power}")
+        if power > POWER_CAP:
+            raise _cap_error()
+        packed += power << _shift(name)
+    if packed & _GUARDS:
+        raise _cap_error()
+    return packed
+
+
+def _cap_error() -> OverflowError:
+    return OverflowError(f"a parameter power exceeds the cap 2^{_FIELD - 1} - 1")
+
+
+def _unpack(packed: int) -> ParamKey:
+    """The ``ParamKey`` of a packed key, ordered by name."""
+    if not packed:
+        return ()
+    return tuple(
+        (name, power)
+        for name, offset in _BY_NAME
+        if (power := (packed >> offset) & POWER_CAP)
+    )
+
+
+def _packed_terms(pairs: Iterable[tuple[ParamKey, object]]) -> dict[int, Coeff]:
+    acc: dict[int, Coeff] = {}
+    for key, value in pairs:
+        _accumulate(acc, _pack(key), canonical_coeff(value))
+    return acc
 
 
 def _scalar_product(v: Scalar, c: Scalar) -> Scalar:
@@ -156,7 +216,8 @@ class Sparse:
 
     @classmethod
     def const(cls, value: object) -> Sparse:
-        return cls({cls._UNIT: value})
+        c = canonical_coeff(value)
+        return cls._of({cls._UNIT: c} if c else {})
 
     @classmethod
     def _coerce(cls, value: object) -> Sparse | None:
@@ -222,9 +283,7 @@ class Sparse:
             elif len(a) == 1 and unit in a:
                 base, c = o, a[unit]
             else:
-                out: dict[Any, Coeff] = {}
-                _mul_into(out, a, b, self._key_mul)
-                return self._of(out)
+                return self._of(self._product(a, b))
         if not c:
             return self._of({})
         if c == 1:  # values are never mutated, so the factor serves as it is
@@ -232,6 +291,13 @@ class Sparse:
         return self._of(_scaled(base._terms, c))
 
     __rmul__ = __mul__
+
+    @classmethod
+    def _product(cls, a: dict, b: dict) -> dict:
+        """The terms of the product of two term dicts."""
+        out: dict[Any, Coeff] = {}
+        _mul_into(out, a, b, cls._key_mul)
+        return out
 
     def __pow__(self, n: int) -> Sparse:
         if not isinstance(n, int) or n < 0:
@@ -250,27 +316,60 @@ class Sparse:
 class ParamPoly(Sparse):
     """Polynomial in symbolic parameters with exact rational values.
 
-    Keys are parameter monomials (``ParamKey``).  Each value is held as an
-    ``int`` when it is an integer and as a ``Fraction`` otherwise.
+    Keys are packed parameter monomials (see the module docstring); the
+    public accessors hand them out as ``ParamKey`` tuples.  Each value is
+    held as an ``int`` when it is an integer and as a ``Fraction`` otherwise.
     """
 
     __slots__ = ()
-    _UNIT = ()
+    _UNIT = 0
     _SCALARS = (int, Fraction)
-    _key_mul = staticmethod(_merge_keys)
     # bound here too: the per-layer tracer (perfbench/spans.py) wraps only the
     # methods in a class's own __dict__, and counts these two
     __add__ = __radd__ = Sparse.__add__
     __mul__ = __rmul__ = Sparse.__mul__
 
+    def __init__(self, terms: Mapping[ParamKey, object] | None = None):
+        self._terms = _packed_terms((terms or {}).items())
+
+    @classmethod
+    def from_terms(cls, pairs: Iterable[tuple[ParamKey, object]]) -> ParamPoly:
+        """The sum of the ``(ParamKey, value)`` pairs; a key may occur more than once."""
+        return cls._of(_packed_terms(pairs))
+
+    def __reduce__(self) -> tuple:
+        # pickle names, not slots: another process may number the names otherwise
+        return (ParamPoly, (dict(self.items()),))
+
     @classmethod
     def param(cls, name: str) -> ParamPoly:
-        if not name:
-            raise ValueError("parameter name must be nonempty")
-        return cls._of({((name, 1),): 1})
+        return cls._of({1 << _shift(name): 1})
+
+    @staticmethod
+    def _product(a: dict, b: dict) -> dict:
+        """The product terms: each key product is one addition of packed keys."""
+        out: dict[int, Scalar] = {}
+        get = out.get
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                key = ka + kb
+                prior = get(key)
+                out[key] = ca * cb if prior is None else prior + ca * cb
+        if _or_keys(out) & _GUARDS:
+            raise _cap_error()
+        return {
+            k: v.numerator if type(v) is Fraction and v.denominator == 1 else v
+            for k, v in out.items()
+            if v
+        }
+
+    def items(self) -> Iterator[tuple[ParamKey, Scalar]]:
+        """(ParamKey, value) pairs with the values as stored."""
+        return ((_unpack(k), v) for k, v in self._terms.items())
 
     def sorted_items(self) -> list[tuple[ParamKey, Scalar]]:
-        return sorted(self._terms.items(), key=lambda kv: (-_key_degree(kv[0]), kv[0]))
+        """Highest degree first, then by key, parameters ordered by name."""
+        return sorted(self.items(), key=lambda kv: (-sum(p for _, p in kv[0]), kv[0]))
 
     @property
     def denominator(self) -> int:
@@ -278,10 +377,10 @@ class ParamPoly(Sparse):
         return lcm(*(v.denominator for v in self._terms.values()))
 
     def parameters(self) -> set[str]:
-        return {name for key in self._terms for name, _ in key}
+        return {name for name, _ in _unpack(_or_keys(self._terms))}
 
     def is_constant(self) -> bool:
-        return all(key == () for key in self._terms)
+        return all(key == 0 for key in self._terms)
 
     def constant_value(self) -> Scalar:
         """The value of a constant polynomial; raises if parameters remain."""
@@ -289,7 +388,7 @@ class ParamPoly(Sparse):
             return 0
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return self._terms[()]
+        return self._terms[0]
 
     def demoted(self) -> Scalar | ParamPoly:
         """The value as a plain rational when no parameter appears, else self."""
@@ -297,27 +396,36 @@ class ParamPoly(Sparse):
         if not terms:
             return 0
         if len(terms) == 1:
-            value = terms.get(())
+            value = terms.get(0)
             if value is not None:
                 return value
         return self
 
     def substitute(self, name: str, value: Scalar) -> ParamPoly:
         """Replace a parameter by an exact rational value."""
+        offset = _SHIFTS.get(name)
+        if offset is None:
+            return self
         v = Fraction(value)
-        return ParamPoly.from_terms(
-            (
-                tuple(pair for pair in key if pair[0] != name),
-                coeff * v ** dict(key).get(name, 0),
-            )
-            for key, coeff in self._terms.items()
-        )
+        acc: dict[int, Coeff] = {}
+        for key, coeff in self._terms.items():
+            power = (key >> offset) & POWER_CAP
+            _accumulate(acc, key - (power << offset), coeff * v**power)
+        return ParamPoly._of(acc)
 
     def __str__(self) -> str:
         return render.parampoly(render.TEXT, self)
 
     def __repr__(self) -> str:
         return f"ParamPoly({self})"
+
+
+def _or_keys(terms: dict[int, object]) -> int:
+    """The bitwise or of the packed keys: every field that is nonzero in some key."""
+    out = 0
+    for key in terms:
+        out |= key
+    return out
 
 
 Coeff = int | Fraction | ParamPoly

@@ -1,12 +1,15 @@
 """Exponents, monomials, elements, and truncated y-series."""
 
+import pickle
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from formalcalc.algebra import Element, Exponent, Monomial, YSeries, binom, gen_name
-from formalcalc.checks import random_element
+from formalcalc import jsonio
+from formalcalc.checks import random_element, random_exponent
+from formalcalc.derivations import d_dx
 from formalcalc.params import ParamPoly
 from formalcalc.parser import parse_element
 
@@ -26,6 +29,82 @@ def test_exponent_interning():
     # small integer exponents are shared instances
     assert Exponent.of(3) is Exponent.of(3)
     assert (Exponent.of(4) - 1) is Exponent.of(3)
+
+
+def test_every_route_returns_the_interned_exponent():
+    assert Exponent(Fraction(4, 2)) is Exponent.of(2)
+    assert type(Exponent(Fraction(4, 2)).const) is int
+    assert type(Exponent.of(Fraction(1, 2)).const) is Fraction
+    r1 = Exponent.param("r", 1, 1)
+    r2 = Exponent.param("r", 1, 2)
+    assert r1 + 1 is r2
+    assert 1 + r1 is r2
+    assert r1 + Exponent.of(1) is r2
+    assert r2 - 1 is r1
+    assert r2 - Exponent.of(1) is r1
+    assert r2.decremented() is r1
+    assert Exponent(2, (("r", 1),)) is r2
+    assert Exponent(2, {"r": 1, "s": 0}) is r2
+    assert Exponent(Fraction(4, 2), [("r", 1)]) is r2
+    assert -(-r2) is r2
+    assert r1 * 2 - r1 is r1
+    assert (r1 * 1) is r1
+    assert Exponent.param("r", 2, 1).substitute("s", 5) is Exponent.param("r", 2, 1)
+    assert Exponent.param("r", 2, 1).substitute("r", 1) is Exponent.of(3)
+    assert (r1 - r1) is Exponent.of(0) is Exponent()
+    assert parse_element("x^(r + 2)") == Element.gen(0, r2)
+    (mono, _), = parse_element("x^(2 + r)").raw_items()
+    assert mono.exponent_of(0) is r2
+    assert jsonio.exponent_from_json(jsonio.exponent_to_json(r2)) is r2
+    rng = Random(7)
+    for _ in range(50):
+        e = random_exponent(rng, ("r", "s"))
+        assert Exponent(e.const, e.linear) is e
+        assert Exponent(Fraction(e.const), tuple(reversed(e.linear))) is e
+
+
+def test_exponent_hash_and_equality_are_identity():
+    assert "__hash__" not in vars(Exponent) and "__eq__" not in vars(Exponent)
+    assert Exponent.__hash__ is object.__hash__ and Exponent.__eq__ is object.__eq__
+    r = Exponent.param("r")
+    assert r == Exponent.param("r") and r != Exponent.param("s")
+    assert {Exponent.of(-1): 1}.get(Exponent(Fraction(-2, 2))) == 1
+    with pytest.raises(AttributeError):
+        r.const = 5
+
+
+def _exponents(value):
+    """Every Exponent reachable from an algebra value."""
+    if isinstance(value, Exponent):
+        return [value]
+    if isinstance(value, Monomial):
+        return [e for _, e in value.powers]
+    if isinstance(value, Element):
+        return [e for mono, _ in value.raw_items() for e in _exponents(mono)]
+    if isinstance(value, YSeries):
+        return [e for c in value.coefficients() for e in _exponents(c)]
+    return []
+
+
+def test_pickle_round_trip_keeps_interned_exponents():
+    r = Exponent.param("r", 2, -1)
+    a = parse_element("(r + 1/2)*x^(2*r - 1)*log(x)^(-1/3) + s*l_2(x)^(r + s)")
+    values = [
+        r,
+        Exponent.of(Fraction(-5, 3)),
+        Monomial(((0, r), (1, Fraction(1, 2)))),
+        a,
+        ParamPoly.param("r") ** 2 * Fraction(1, 3) - ParamPoly.param("s"),
+        d_dx().exp_series(a, 3),
+    ]
+    for value in values:
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value
+        assert str(back) == str(value)
+        mine = _exponents(value)
+        theirs = _exponents(back)
+        assert len(mine) == len(theirs)
+        assert all(x is y for x, y in zip(mine, theirs))
 
 
 def test_exponent_scaling_guards():

@@ -242,3 +242,36 @@ def test_main_in_process_matches_subprocess(capsys):
     code = cli.main(["expand", "--expr", "log(x)", "--order", "3"])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / "expand_log.txt").read_text()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, finished",
+    [
+        (("expand", "--expr", "x^(r)", "--order", "3"), None),  # small: may finish first
+        (("stirling-table", "--max", "300"), False),  # 28 MB: always cut short
+    ],
+    ids=["expand", "stirling-table"],
+)
+def test_closed_stdout_is_not_a_counterexample(argv, finished, unbuffered):
+    """A reader that closes the pipe after the first bytes gets no traceback and no exit 1."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "formalcalc.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(5)) == 5
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    proc.wait(timeout=60)
+    assert stderr == b""
+    assert proc.returncode != 1
+    # 0 when the command finished before the pipe closed, else 141 (128 + SIGPIPE)
+    assert proc.returncode == 141 if finished is False else proc.returncode in (0, 141)

@@ -6,10 +6,18 @@ and coefficient by coefficient.
 """
 
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
-from formalcalc.algebra import Element, Exponent
+from formalcalc.algebra import Element, Exponent, Monomial, YSeries, binom
+from formalcalc.combinatorics import (
+    _compositions,
+    _descending_chains,
+    signed_esym,
+    stirling1,
+    stirling_chain,
+)
 from formalcalc.derivations import d_dx
 from formalcalc.expansions import (
     FORMS,
@@ -71,6 +79,72 @@ def test_iterated_log_forms_match_engine():
         engine = d_dx().exp_series(Element.gen(n, r), 3)
         for form in FORMS:
             assert iterated_log_series(n, r, 3, form) == engine, (n, form)
+
+
+def old_iterated_log_series(n, exponent, order, form):
+    """The summation formulas as first written: every monomial through the
+    normalising ``Monomial`` constructor, every scale from three Fractions."""
+
+    def tower_monomial(e, drops):
+        powers = [(n, e - drops[n])]
+        powers.extend((i, Exponent.of(-drops[i])) for i in range(n))
+        return Monomial(tuple(powers))
+
+    e = Exponent.of(exponent)
+    binoms = [binom(e, j) for j in range(order + 1)]
+    terms = [[] for _ in range(order + 1)]
+    if form == "stirling":
+        for j0 in range(order + 1):
+            for js in _descending_chains(n, j0, 0):
+                tup = (j0,) + js
+                weight = prod(stirling1(tup[i], tup[i + 1]) for i in range(n))
+                if weight == 0:
+                    continue
+                jn = tup[n]
+                scale = Fraction(factorial(jn), factorial(j0)) * (-1) ** (j0 + jn) * weight
+                terms[j0].append((tower_monomial(e, tup), binoms[jn] * scale))
+    elif form == "chain":
+        terms[0].append((Monomial.gen(n, e), 1))
+        for k in range(1, order + 1):
+            for js in _descending_chains(n, k, 1):
+                tup = (k,) + js
+                jn = tup[n]
+                s_value = stirling_chain(tuple(reversed(tup)))
+                if s_value == 0:
+                    continue
+                scale = Fraction(factorial(jn), factorial(k)) * (-1) ** (k + jn) * s_value
+                terms[k].append((tower_monomial(e, tup), binoms[jn] * scale))
+    else:
+        for k in range(order + 1):
+            for js in _compositions(k, n + 1, 0):
+                suffix = [0] * (n + 2)
+                for i in range(n, -1, -1):
+                    suffix[i] = suffix[i + 1] + js[i]
+                weight = prod(signed_esym(js[i], suffix[i + 1]) for i in range(n))
+                if weight == 0:
+                    continue
+                jn = js[n]
+                scale = Fraction(factorial(jn), factorial(k)) * weight
+                terms[k].append((tower_monomial(e, tuple(suffix[: n + 1])), binoms[jn] * scale))
+    return YSeries([Element.from_terms(t) for t in terms])
+
+
+@pytest.mark.parametrize(
+    "exponent",
+    [-2, 3, Fraction(1, 2), Fraction(-2, 3), Exponent.param("r"), Exponent.param("r", 2, -1)],
+    ids=str,
+)
+def test_iterated_log_forms_match_engine_and_old_route(exponent):
+    """Every form, n <= 3, order 6: equal to the engine and to the normalising route."""
+    for n in (1, 2, 3):
+        engine = d_dx().exp_series(Element.gen(n, exponent), 6)
+        for form in FORMS:
+            got = iterated_log_series(n, exponent, 6, form)
+            assert got == engine, (n, form)
+            assert got == old_iterated_log_series(n, exponent, 6, form), (n, form)
+            for c in got.coefficients():
+                for mono, coeff in c.raw_items():
+                    assert mono == Monomial(mono.powers) and coeff, (n, form)
 
 
 def test_iterated_log_numeric_exponent():

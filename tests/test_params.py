@@ -1,11 +1,22 @@
 """Parameter-polynomial arithmetic: the coefficient ring under everything."""
 
+import json
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from formalcalc.params import ParamPoly
+from formalcalc import cli, jsonio
+from formalcalc.derivations import d_dx
+from formalcalc.params import POWER_CAP, ParamPoly
+from formalcalc.parser import parse_element
+
+SRC = Path(cli.__file__).resolve().parents[1]  # the directory that holds the package
 
 
 def random_parampoly(rng: Random) -> ParamPoly:
@@ -159,3 +170,117 @@ def test_arithmetic_matches_sympy():
         ):
             assert sympy.expand(to_sympy(got) - want) == 0, (a, b, c)
             assert_stored_form(got)
+
+
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this package; return its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return result.stdout
+
+
+# str and JSON of the values below, as printed before parameters had slots
+ORDER_PROBE = """
+from fractions import Fraction
+from formalcalc import ParamPoly, d_dx, jsonio, params
+from formalcalc.parser import parse_element
+ParamPoly.param({first!r}), ParamPoly.param({second!r})
+print(params._SHIFTS[{first!r}] == 0)
+p = (ParamPoly.param("r") + ParamPoly.param("s")) ** 2 * Fraction(1, 2) - 3
+a = parse_element("(2*s - r)*x^(r)*log(x)^(s) + s*r^2*l_2(x)^(-r)")
+series = d_dx().exp_series(a, 1)
+print(p)
+print(series)
+print(jsonio.dumps(jsonio.parampoly_to_json(p)))
+print(jsonio.dumps(jsonio.element_to_json(series.coefficient(1))))
+"""
+HEAD_TEXT = [
+    "r*s + 1/2*r^2 + 1/2*s^2 - 3",
+    "(-r + 2*s)*x^r*log(x)^s + r^2*s*l_2(x)^(-r) - r^3*s*x^(-1)*log(x)^(-1)*l_2(x)^(-r - 1)*y"
+    " + (-r*s + 2*s^2)*x^(r - 1)*log(x)^(s - 1)*y + (2*r*s - r^2)*x^(r - 1)*log(x)^s*y",
+]
+HEAD_JSON = [
+    '[{"coeff":"1","powers":{"r":1,"s":1}},{"coeff":"1/2","powers":{"r":2}},'
+    '{"coeff":"1/2","powers":{"s":2}},{"coeff":"-3","powers":{}}]',
+    '[{"monomial":[{"gen":0,"exp":{"const":"-1","linear":{}}},{"gen":1,"exp":{"const":"-1",'
+    '"linear":{}}},{"gen":2,"exp":{"const":"-1","linear":{"r":-1}}}],"coeff":[{"coeff":"-1",'
+    '"powers":{"r":3,"s":1}}]},{"monomial":[{"gen":0,"exp":{"const":"-1","linear":{"r":1}}},'
+    '{"gen":1,"exp":{"const":"-1","linear":{"s":1}}}],"coeff":[{"coeff":"-1","powers":{"r":1,'
+    '"s":1}},{"coeff":"2","powers":{"s":2}}]},{"monomial":[{"gen":0,"exp":{"const":"-1",'
+    '"linear":{"r":1}}},{"gen":1,"exp":{"const":"0","linear":{"s":1}}}],"coeff":[{"coeff":"2",'
+    '"powers":{"r":1,"s":1}},{"coeff":"-1","powers":{"r":2}}]}]',
+]
+
+
+@pytest.mark.parametrize("first, second", [("s", "r"), ("r", "s")])
+def test_output_ignores_parameter_registration_order(first, second):
+    """Whichever name takes the first slot, str and JSON keep their bytes."""
+    want = "\n".join(
+        ["True", *HEAD_TEXT, *(jsonio.dumps(json.loads(doc)) for doc in HEAD_JSON)]
+    )
+    assert run_python(ORDER_PROBE.format(first=first, second=second)) == want + "\n"
+
+
+def test_pickles_carry_names_not_slots():
+    """A ParamPoly pickled where s has the first slot loads right where r has it."""
+    ParamPoly.param("r"), ParamPoly.param("s")
+    code = (
+        "import pickle, sys\n"
+        "from fractions import Fraction\n"
+        "from formalcalc import ParamPoly, d_dx\n"
+        "from formalcalc.parser import parse_element\n"
+        "ParamPoly.param('s')\n"
+        "p = ParamPoly.param('r') ** 3 * Fraction(1, 2) - ParamPoly.param('s') * 5\n"
+        "a = d_dx().exp_series(parse_element('s*x^(r)*log(x)^(2*s)'), 2)\n"
+        "print(pickle.dumps((p, a)).hex())\n"
+    )
+    p, a = pickle.loads(bytes.fromhex(run_python(code)))
+    r, s_ = ParamPoly.param("r"), ParamPoly.param("s")
+    assert p == r ** 3 * Fraction(1, 2) - s_ * 5
+    assert a == d_dx().exp_series(parse_element("s*x^(r)*log(x)^(2*s)"), 2)
+
+
+def test_packed_fields_never_carry():
+    """r^(2^k - 1) * r is exact at every power of two up to the field width."""
+    lo, mid, hi = (ParamPoly.param(n) for n in ("carry_a", "carry_b", "carry_c"))
+    for k in range(1, 63):
+        full = 2**k - 1
+        p = lo ** full * mid ** full * hi ** full
+        got = dict((p * mid).items())
+        assert got == {(("carry_a", full), ("carry_b", full + 1), ("carry_c", full)): 1}, k
+        assert dict((mid ** full * mid).items()) == {(("carry_b", full + 1),): 1}, k
+    assert POWER_CAP == 2**63 - 1
+    top = mid ** POWER_CAP * lo ** POWER_CAP * hi ** POWER_CAP
+    assert dict(top.items()) == {
+        (("carry_a", POWER_CAP), ("carry_b", POWER_CAP), ("carry_c", POWER_CAP)): 1
+    }
+    for factor in (lo, mid, hi, lo * hi):
+        with pytest.raises(OverflowError, match=r"cap 2\^63 - 1"):
+            top * factor
+    with pytest.raises(OverflowError, match=r"cap 2\^63 - 1"):
+        ParamPoly({(("carry_b", POWER_CAP + 1),): 1})
+    with pytest.raises(OverflowError, match=r"cap 2\^63 - 1"):
+        ParamPoly({(("carry_b", POWER_CAP), ("carry_b", 1)): 1})
+    with pytest.raises(ValueError):
+        ParamPoly({(("carry_b", -1),): 1})
+
+
+def test_huge_parameter_powers(capsys):
+    """r^4294967296 is exact; a power above the cap exits 2 and names the cap,
+    whether the parser or the engine meets it."""
+    a = parse_element("r^4294967296*x")
+    assert str(a) == "r^4294967296*x"
+    (_, coeff), = a.items()
+    assert dict(coeff.items()) == {(("r", 2**32),): 1}
+    top = f"r^{POWER_CAP}"
+    assert str(parse_element(f"{top}*s^{POWER_CAP}*x")) == f"{top}*s^{POWER_CAP}*x"
+    assert cli.main(["expand", "--expr", f"{top}*x", "--order", "1"]) == 0
+    assert capsys.readouterr().out.startswith(f"{top}*x + {top}*y")
+    for expr in (f"{top}*r*x", f"r^{POWER_CAP + 1}*x", f"{top}*x^r"):
+        code = cli.main(["expand", "--expr", expr, "--order", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", expr
+        assert err == "formalcalc: a parameter power exceeds the cap 2^63 - 1\n", expr

@@ -51,7 +51,8 @@ def test_golden_umbral():
     assert result.stdout == (GOLDEN / "umbral_b10.txt").read_text()
 
 
-# Rendering corpus: each command is stored as <name>.txt (text) and <name>.tex (latex).
+# Rendering corpus: each command is stored as <name>.txt (text), <name>.tex (latex)
+# and <name>.json (json).
 CORPUS = {
     "expand_rational": (
         "expand", "--expr",
@@ -63,10 +64,13 @@ CORPUS = {
     ),
     "fdb_order4": ("faa-di-bruno", "--order", "4"),
     "umbral_b12": ("umbral", "--B", "1,2,-1/3", "--depth", "5"),
+    "stirling_max6": ("stirling-table", "--max", "6"),
+    "verify_lubell6": ("verify", "lubell", "--max", "6"),
+    "lift_xr_log": ("lift", "--expr", "x^r*log(x)", "--order", "3"),
 }
 
 
-@pytest.mark.parametrize("fmt,suffix", [("text", "txt"), ("latex", "tex")])
+@pytest.mark.parametrize("fmt,suffix", [("text", "txt"), ("latex", "tex"), ("json", "json")])
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_golden_corpus(name, fmt, suffix):
     result = run_cli("--format", fmt, *CORPUS[name])

@@ -24,7 +24,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import jsonio, latexio
 from .algebra import YSeries
@@ -34,7 +34,7 @@ from .derivations import d_dx
 from .diffrep import lifted_exp, verify_intertwining
 from .expansions import closed_form_series
 from .faadibruno import taylor_coefficients, umbral_shift
-from .parser import ParseError, parse_element
+from .parser import parse_element
 from .qpoly import to_string as qpoly_str
 from .report import VerifyReport
 
@@ -56,6 +56,15 @@ def _color_enabled() -> bool:
     return sys.stdout.isatty()
 
 
+def _bounded(p: argparse.ArgumentParser, flag: str, least: int, **kw) -> None:
+    """Add an integer flag; ``main`` rejects a value below ``least`` before any work.
+
+    Below it a command has no valid input, or a sweep no case and would pass vacuously.
+    """
+    dest = p.add_argument(flag, type=int, **kw).dest
+    p.set_defaults(minimums={**(p.get_default("minimums") or {}), dest: least})
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="formalcalc",
@@ -71,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="expand an expression in powers of y")
     p.add_argument("--expr", required=True, help="expression to expand")
-    p.add_argument("--order", type=int, required=True, help="truncation order in y")
+    _bounded(p, "--order", 0, required=True, help="truncation order in y")
     p.add_argument(
         "--via",
         choices=("engine", "closed-form"),
@@ -82,11 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lift", help="expand under x*d/dx via the index shift")
     p.add_argument("--expr", required=True)
-    p.add_argument("--order", type=int, required=True)
+    _bounded(p, "--order", 0, required=True)
     p.set_defaults(run=_run_lift)
 
     p = sub.add_parser("stirling-table", help="table of Stirling cycle numbers")
-    p.add_argument("--max", type=int, required=True, help="largest row index")
+    _bounded(p, "--max", 0, required=True, help="largest row index")
     p.set_defaults(run=_run_table)
 
     v = sub.add_parser("verify", help="run an identity sweep")
@@ -95,199 +104,158 @@ def build_parser() -> argparse.ArgumentParser:
     # each sweep looks its verifier up by name when it runs, so a replaced one is used
 
     p = vsub.add_parser("automorphism", help="exp(yD) multiplicativity")
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--order", type=int, default=4)
-    p.add_argument("--max-index", type=int, default=3)
+    _bounded(p, "--trials", 1, default=50)
+    _bounded(p, "--order", 0, default=4)
+    _bounded(p, "--max-index", 0, default=3)
     p.add_argument("--seed", type=int, default=11)
-    p.set_defaults(
-        sweep=lambda a: verify_automorphism(
-            trials=a.trials, order=a.order, max_index=a.max_index, seed=a.seed
-        )
-    )
+    p.set_defaults(sweep=lambda a: verify_automorphism(
+        trials=a.trials, order=a.order, max_index=a.max_index, seed=a.seed))
 
     p = vsub.add_parser("intertwine", help="index shift vs the two derivations")
-    p.add_argument("--max-index", type=int, default=6)
-    p.add_argument("--trials", type=int, default=20)
+    _bounded(p, "--max-index", 0, default=6)
+    _bounded(p, "--trials", 1, default=20)
     p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(
-        sweep=lambda a: verify_intertwining(
-            max_index=a.max_index, product_trials=a.trials, seed=a.seed
-        )
-    )
+    p.set_defaults(sweep=lambda a: verify_intertwining(
+        max_index=a.max_index, product_trials=a.trials, seed=a.seed))
 
     p = vsub.add_parser("lubell", help="two-index chain/Stirling/symmetric-sum equality")
-    p.add_argument("--max", type=int, default=6)
-    p.add_argument("--pair-sum", type=int, default=None)
+    _bounded(p, "--max", 1, default=6)
+    _bounded(p, "--pair-sum", 1, default=None)
     p.set_defaults(sweep=lambda a: verify_lubell(max_n=a.max, max_pair_sum=a.pair_sum))
 
     p = vsub.add_parser("s-identity", help="chain recursion vs Stirling products")
-    p.add_argument("--max-k", type=int, default=6)
-    p.add_argument("--max-n", type=int, default=3)
+    _bounded(p, "--max-k", 1, default=6)
+    _bounded(p, "--max-n", 1, default=3)
     p.set_defaults(sweep=lambda a: verify_chain_product(max_k=a.max_k, max_n=a.max_n))
 
     p = vsub.add_parser("faa-di-bruno", help="dual-path composite expansion")
-    p.add_argument("--trials", type=int, default=25)
-    p.add_argument("--degree", type=int, default=4)
-    p.add_argument("--order", type=int, default=6)
+    _bounded(p, "--trials", 1, default=25)
+    _bounded(p, "--degree", 0, default=4)
+    _bounded(p, "--order", 0, default=6)
     p.add_argument("--seed", type=int, default=13)
-    p.set_defaults(
-        sweep=lambda a: verify_composition(
-            trials=a.trials, max_degree=a.degree, order=a.order, seed=a.seed
-        )
-    )
+    p.set_defaults(sweep=lambda a: verify_composition(
+        trials=a.trials, max_degree=a.degree, order=a.order, seed=a.seed))
 
     p = sub.add_parser(
         "faa-di-bruno", help="coefficients of the composite-derivative exponential"
     )
-    p.add_argument("--order", type=int, required=True)
+    _bounded(p, "--order", 0, required=True)
     p.set_defaults(run=_run_fdb)
 
     p = sub.add_parser("umbral", help="solve the weight-sequence shift operator")
     p.add_argument("--B", required=True, help="comma-separated weights, e.g. 1,0")
-    p.add_argument("--depth", type=int, required=True)
+    _bounded(p, "--depth", 1, required=True)
     p.set_defaults(run=_run_umbral)
 
     return top
 
 
-def _emit_series(args: argparse.Namespace, command: str, series: YSeries) -> int:
-    if args.format == "json":
-        print(jsonio.dumps(jsonio.series_doc(command, args.expr, series)))
-    elif args.format == "latex":
-        print(latexio.display(latexio.latex_yseries(series)))
+def _emit(fmt: str, text: Callable, json: Callable, latex: Callable) -> int:
+    """Print the rendering ``fmt`` names, and build only that one."""
+    if fmt == "json":
+        print(jsonio.dumps(json()))
+    elif fmt == "latex":
+        print(latexio.display(latex()))
     else:
-        print(series)
+        for line in text():  # one at a time, so a large table is never held whole
+            print(line)
     return 0
+
+
+def _emit_series(args: argparse.Namespace, series: YSeries) -> int:
+    return _emit(
+        args.format,
+        lambda: [str(series)],
+        lambda: jsonio.series_doc(args.command, args.expr, series),
+        lambda: latexio.latex_yseries(series),
+    )
 
 
 def _run_expand(args: argparse.Namespace) -> int:
-    if args.order < 0:
-        print("formalcalc: --order must be nonnegative", file=sys.stderr)
-        return 2
-    element = parse_element(args.expr)
-    if args.via == "closed-form":
-        try:
-            series = closed_form_series(element, args.order)
-        except ValueError as exc:
-            print(f"formalcalc: {exc}", file=sys.stderr)
-            return 2
-    else:
-        series = d_dx().exp_series(element, args.order)
-    return _emit_series(args, "expand", series)
+    expand = closed_form_series if args.via == "closed-form" else d_dx().exp_series
+    return _emit_series(args, expand(parse_element(args.expr), args.order))
 
 
 def _run_lift(args: argparse.Namespace) -> int:
-    if args.order < 0:
-        print("formalcalc: --order must be nonnegative", file=sys.stderr)
-        return 2
-    return _emit_series(args, "lift", lifted_exp(parse_element(args.expr), args.order))
+    return _emit_series(args, lifted_exp(parse_element(args.expr), args.order))
+
+
+def _text_table(rows: list[list[int]]) -> Iterator[str]:
+    width = max(len(str(v)) for row in rows for v in row)
+    return (" ".join(f"{v:>{width}}" for v in row).rstrip() for row in rows)
 
 
 def _run_table(args: argparse.Namespace) -> int:
-    if args.max < 0:
-        print("formalcalc: --max must be nonnegative", file=sys.stderr)
-        return 2
     rows = stirling_rows(args.max)
-    if args.format == "json":
-        print(jsonio.dumps(jsonio.table_doc(args.max, rows)))
-    elif args.format == "latex":
-        print(latexio.display(latexio.latex_table(rows)))
-    else:
-        width = max(len(str(v)) for row in rows for v in row)
-        for row in rows:
-            print(" ".join(f"{v:>{width}}" for v in row).rstrip())
-    return 0
+    return _emit(
+        args.format,
+        lambda: _text_table(rows),
+        lambda: jsonio.table_doc(args.max, rows),
+        lambda: latexio.latex_table(rows),
+    )
 
 
-# The least value of each sweep bound, checked before any work.  Below it a
-# sweep either has no case and would pass vacuously, or has no valid input.
-# A bound left at its default of None is not checked.
-_SWEEP_MINIMUMS = {
-    "automorphism": {"trials": 1, "order": 0, "max_index": 0},
-    "intertwine": {"max_index": 0, "trials": 1},
-    "lubell": {"max": 1, "pair_sum": 1},
-    "s-identity": {"max_k": 1, "max_n": 1},
-    "faa-di-bruno": {"trials": 1, "order": 0, "degree": 0},
-}
+def _summary_line(report: VerifyReport) -> str:
+    if not _color_enabled():
+        return report.summary()
+    word, color = ("pass", _GREEN) if report.passed else ("FAIL", _RED)
+    return report.summary().replace(f": {word}", f": {color}{word}{_RESET}")
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    for dest, least in _SWEEP_MINIMUMS[args.check].items():
-        value = getattr(args, dest)
-        if value is not None and value < least:
-            flag = "--" + dest.replace("_", "-")
-            print(f"formalcalc: {flag} must be at least {least}", file=sys.stderr)
-            return 2
     report: VerifyReport = args.sweep(args)
-    if args.format == "json":
-        print(jsonio.dumps(jsonio.report_to_json(report)))
-    elif args.format == "latex":
-        print(latexio.display(f"\\text{{{report.summary()}}}"))
-    else:
-        line = report.summary()
-        if _color_enabled():
-            line = (
-                line.replace(": pass", f": {_GREEN}pass{_RESET}")
-                if report.passed
-                else line.replace(": FAIL", f": {_RED}FAIL{_RESET}")
-            )
-        print(line)
+    _emit(
+        args.format,
+        lambda: [_summary_line(report)],
+        lambda: jsonio.report_to_json(report),
+        lambda: f"\\text{{{report.summary()}}}",
+    )
     return 0 if report.passed else 1
 
 
 def _run_fdb(args: argparse.Namespace) -> int:
-    if args.order < 0:
-        print("formalcalc: --order must be nonnegative", file=sys.stderr)
-        return 2
     coeffs = taylor_coefficients(args.order)
-    if args.format == "json":
-        print(jsonio.dumps(jsonio.fdb_doc(args.order, coeffs)))
-    elif args.format == "latex":
-        lines = [
-            f"z^{{{n}}} &: {latexio.latex_fdbpoly(p)} \\\\"
-            for n, p in enumerate(coeffs)
-        ]
-        print(latexio.display("\n".join(["\\begin{aligned}", *lines, "\\end{aligned}"])))
-    else:
-        for n, p in enumerate(coeffs):
-            print(f"z^{n}: {p}")
-    return 0
+    return _emit(
+        args.format,
+        lambda: (f"z^{n}: {p}" for n, p in enumerate(coeffs)),
+        lambda: jsonio.fdb_doc(args.order, coeffs),
+        lambda: latexio.aligned(
+            f"z^{{{n}}} &: {latexio.latex_fdbpoly(p)}" for n, p in enumerate(coeffs)
+        ),
+    )
 
 
 def _run_umbral(args: argparse.Namespace) -> int:
     try:
         weights = [Fraction(part.strip()) for part in args.B.split(",") if part.strip()]
-    except ValueError:
-        print(f"formalcalc: could not read weights from {args.B!r}", file=sys.stderr)
-        return 2
-    try:
-        shift = umbral_shift(weights, args.depth)
-    except ValueError as exc:
-        print(f"formalcalc: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(jsonio.dumps(jsonio.umbral_doc(shift)))
-    elif args.format == "latex":
-        lines = [
-            f"x^{{{k}}} &\\mapsto {latexio.latex_qpoly(img)} \\\\"
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"could not read weights from {args.B!r}") from exc
+    shift = umbral_shift(weights, args.depth)
+    return _emit(
+        args.format,
+        lambda: (f"x^{k} -> {qpoly_str(img)}" for k, img in enumerate(shift.images)),
+        lambda: jsonio.umbral_doc(shift),
+        lambda: latexio.aligned(
+            f"x^{{{k}}} &\\mapsto {latexio.latex_qpoly(img)}"
             for k, img in enumerate(shift.images)
-        ]
-        print(latexio.display("\n".join(["\\begin{aligned}", *lines, "\\end{aligned}"])))
-    else:
-        for k, img in enumerate(shift.images):
-            print(f"x^{k} -> {qpoly_str(img)}")
-    return 0
+        ),
+    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for dest, least in args.minimums.items():
+            value = getattr(args, dest)
+            if value is not None and value < least:
+                raise ValueError(f"--{dest.replace('_', '-')} must be at least {least}")
         return args.run(args)
-    except (ParseError, OverflowError) as exc:  # OverflowError: a documented cap
+    except (ValueError, ArithmeticError) as exc:
+        # bounds, parse errors, refused closed forms, bad weights and the
+        # documented power cap (an OverflowError) are all usage errors
         print(f"formalcalc: {exc}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Mapping
 
-from .algebra import Element, Monomial, YSeries, gen_name
+from .algebra import Element, Exponent, Monomial, YSeries, gen_name
 from .params import Coeff, _accumulate
 
 
@@ -150,17 +150,10 @@ class Derivation:
 
 
 def _ddx_image(index: int) -> Element:
-    if index == 0:
-        return Element.one()
-    if index > 0:
-        out = Element.one()
-        for i in range(index):
-            out = out * Element.gen(i, -1)
-        return out
-    out = Element.one()
-    for i in range(-1, index - 1, -1):
-        out = out * Element.gen(i)
-    return out
+    """prod_{0<=i<n} l_i^-1 for n = index >= 0, and prod_{n<=i<0} l_i for n < 0."""
+    e = Exponent.of(1 if index < 0 else -1)
+    indices = range(index, 0) if index < 0 else range(index)
+    return Element._of({Monomial._from_canonical(tuple((i, e) for i in indices)): 1})
 
 
 def d_dx() -> Derivation:

@@ -30,7 +30,7 @@ from math import comb, factorial
 from typing import Sequence
 
 from . import qpoly, render
-from .params import Sparse
+from .params import Sparse, _accumulate
 from .qpoly import QPoly
 
 # A symbol-power table: ((index, exponent), ...) sorted, exponents >= 1.
@@ -106,12 +106,10 @@ class FdbPoly(Sparse):
         for (ys, xs), c in self._terms.items():
             xs_x1 = _times_x1(xs)
             for pos, (_, e) in enumerate(ys):
-                key = (_step(ys, pos), xs_x1)
-                out[key] = out.get(key, 0) + c * e
+                _accumulate(out, (_step(ys, pos), xs_x1), c * e)
             for pos, (_, e) in enumerate(xs):
-                key = (ys, _step(xs, pos))
-                out[key] = out.get(key, 0) + c * e
-        return FdbPoly({key: c for key, c in out.items() if c})
+                _accumulate(out, (ys, _step(xs, pos)), c * e)
+        return FdbPoly._of(out)
 
     def substitute_weights(self, weights: Sequence[Fraction | int]) -> QPoly:
         """Send every y_j to 1 and every x_i to weights[i-1] * x.

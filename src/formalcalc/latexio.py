@@ -9,11 +9,11 @@ superscript follows another.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
 from . import render
-from .algebra import Element, Exponent, Monomial, YSeries
+from .algebra import Element, YSeries
 from .faadibruno import FdbPoly
-from .params import ParamPoly
 from .qpoly import QPoly
 
 
@@ -38,22 +38,6 @@ LATEX = render.Style(
 )
 
 
-def latex_exponent(e: Exponent) -> str:
-    return render.exponent(LATEX, e)
-
-
-def latex_gen(index: int) -> str:
-    return render.generator(LATEX, index)
-
-
-def latex_monomial(m: Monomial) -> str:
-    return render.monomial(LATEX, m)
-
-
-def latex_parampoly(p: ParamPoly) -> str:
-    return render.parampoly(LATEX, p)
-
-
 def latex_element(a: Element) -> str:
     return render.element(LATEX, a)
 
@@ -70,13 +54,21 @@ def latex_fdbpoly(p: FdbPoly) -> str:
     return render.fdbpoly(LATEX, p)
 
 
+def _environment(name: str, rows: Iterable[str], spec: str = "") -> str:
+    """A LaTeX environment holding one row per line, each ended by ``\\\\``."""
+    lines = (f"{row} \\\\" for row in rows)
+    return "\n".join([f"\\begin{{{name}}}{spec}", *lines, f"\\end{{{name}}}"])
+
+
 def latex_table(rows: list[list[int]]) -> str:
     width = max(len(row) for row in rows)
-    lines = [
-        " & ".join(str(v) for v in row) + " \\\\" for row in rows
-    ]
-    header = "\\begin{array}{" + "r" * width + "}"
-    return "\n".join([header, *lines, "\\end{array}"])
+    cells = (" & ".join(str(v) for v in row) for row in rows)
+    return _environment("array", cells, "{" + "r" * width + "}")
+
+
+def aligned(rows: Iterable[str]) -> str:
+    """An ``aligned`` block with one row per line."""
+    return _environment("aligned", rows)
 
 
 def display(body: str) -> str:

@@ -145,8 +145,22 @@ def test_negative_order_rejected():
         result = run_cli(command, "--expr", "x", "--order", "-1")
         assert result.returncode == 2
         assert result.stdout == ""
-        assert result.stderr == "formalcalc: --order must be nonnegative\n"
+        assert result.stderr == "formalcalc: --order must be at least 0\n"
     assert run_cli("stirling-table", "--max", "-2").returncode == 2
+
+
+def test_command_bounds_are_usage_errors():
+    """Every command reports a bound in the sweeps' one form, before any work."""
+    for args, least in (
+        (("stirling-table", "--max", "-2"), 0),
+        (("faa-di-bruno", "--order", "-1"), 0),
+        (("umbral", "--B", "1,0", "--depth", "0"), 1),
+        (("umbral", "--B", "1,q", "--depth", "0"), 1),
+    ):
+        result = run_cli(*args)
+        assert result.returncode == 2, args
+        assert result.stdout == ""
+        assert result.stderr == f"formalcalc: {args[-2]} must be at least {least}\n"
 
 
 def test_zero_case_sweeps_are_usage_errors():
@@ -186,6 +200,10 @@ def test_umbral_bad_weights():
     assert result.stderr
     result = run_cli("umbral", "--B", "0,1", "--depth", "2")
     assert result.returncode == 2
+    result = run_cli("umbral", "--B", "1/0", "--depth", "2")
+    assert result.returncode == 2
+    assert result.stderr == "formalcalc: could not read weights from '1/0'\n"
+    assert "Traceback" not in result.stderr
 
 
 def test_closed_form_refuses_exponential_tower():

@@ -27,6 +27,17 @@ def test_ddx_images_down_the_tower():
     assert D.image(-3) == Element.gen(-1) * Element.gen(-2) * Element.gen(-3)
 
 
+def test_ddx_image_is_the_generator_product():
+    """Each d/dx image is the one monomial that the product of its factors gives."""
+    D = d_dx()
+    for n in range(-8, 9):
+        want = Element.one()
+        for i in range(n) if n >= 0 else range(-1, n - 1, -1):
+            want = want * Element.gen(i, -1 if n > 0 else 1)
+        got = D.image(n)
+        assert got == want and len(got) == 1, n
+
+
 def test_x_ddx_images():
     D = x_d_dx()
     assert D.image(0) == Element.gen(0)

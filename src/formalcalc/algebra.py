@@ -13,8 +13,9 @@ coefficients c_m exact parameter polynomials (see params), stored as plain
 rationals when no parameter appears.  Monomials multiply by merging their
 index-sorted power tuples.  A YSeries is a
 polynomial in a central variable y of bounded degree with Element
-coefficients; it is the truncation type for exponential-of-derivation
-series, and arithmetic on series truncates to the smaller order.
+coefficients, held in divided-power form; it is the truncation type for
+exponential-of-derivation series, and arithmetic on series truncates to
+the smaller order.
 
 Exponents are hash-consed, and two module tables serve that:
 
@@ -25,14 +26,16 @@ Exponents are hash-consed, and two module tables serve that:
   most ``_SUM_MEMO_SIZE`` entries: it is emptied when it reaches that size.
 
 Also here: ``binom(e, n)``, the algebraic binomial coefficient
-e*(e-1)*...*(e-n+1)/n!, which is a parameter polynomial when e is.
+e*(e-1)*...*(e-n+1)/n!, which is a parameter polynomial when e is, and
+``falling_row``, the falling factorials over one denominator, as the
+closed forms use them.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from typing import Iterable, Iterator, Sequence
 
 from . import render
@@ -42,7 +45,6 @@ from .params import (
     Scalar,
     Sparse,
     _mul_into,
-    _scaled,
     as_parampoly,
     canonical_coeff,
 )
@@ -226,6 +228,21 @@ def _sum(a: Exponent, b: Exponent) -> Exponent:
 _ZERO = Exponent()
 
 
+def falling_row(exponent: "Exponent | Scalar", order: int) -> tuple[int, list[Coeff]]:
+    """(den, [den * e*(e-1)*...*(e-j+1) for j <= order]), every entry integer-valued.
+
+    den = q^order for the denominator q of e's constant: falling factorial j
+    has a denominator dividing q^j.
+    """
+    e = Exponent.of(exponent)
+    den = e.const.denominator**order
+    p = e.to_parampoly()
+    row: list[Coeff] = [den]
+    for j in range(order):
+        row.append(canonical_coeff(row[-1] * (p - j)))
+    return den, row
+
+
 def binom(exponent: "Exponent | Scalar", n: int) -> ParamPoly:
     """Algebraic binomial coefficient e*(e-1)*...*(e-n+1) / n!.
 
@@ -234,11 +251,8 @@ def binom(exponent: "Exponent | Scalar", n: int) -> ParamPoly:
     """
     if n < 0:
         raise ValueError("binom order must be nonnegative")
-    e = Exponent.of(exponent).to_parampoly()
-    out = ParamPoly.one()
-    for i in range(n):
-        out = out * (e - i)
-    return out * Fraction(1, factorial(n))
+    den, row = falling_row(exponent, n)
+    return as_parampoly(row[n]) * Fraction(1, den * factorial(n))
 
 
 class Monomial:
@@ -411,11 +425,6 @@ class Element(Sparse):
     def generator_indices(self) -> set[int]:
         return {i for mono in self._terms for i in mono.indices()}
 
-    def _numerators(self) -> tuple[int, Element]:
-        """(d, d * self) with d > 0 least such that every rational coefficient is an integer."""
-        d, terms = _numerators(self._terms)
-        return d, Element._of(terms)
-
     def substitute_param(self, name: str, value: Scalar) -> Element:
         """Specialize a parameter to an exact rational everywhere it occurs."""
         return Element.from_terms(
@@ -436,10 +445,9 @@ class Element(Sparse):
 def _numerators(terms: dict[Monomial, Coeff]) -> tuple[int, dict[Monomial, Coeff]]:
     """(d, d * terms) for the least d > 0 that makes every coefficient integer-valued.
 
-    Integer arithmetic is much cheaper than Fraction arithmetic, so products
-    and derivatives work on numerators and divide by d once per result
-    coefficient.  A ParamPoly coefficient counts the denominators of all its
-    values.
+    Integer arithmetic is much cheaper than Fraction arithmetic, so series
+    work on numerators (see YSeries).  A ParamPoly coefficient counts the
+    denominators of all its values.
     """
     d = lcm(*(c.denominator for c in terms.values()))
     if d == 1:
@@ -450,53 +458,72 @@ def _numerators(terms: dict[Monomial, Coeff]) -> tuple[int, dict[Monomial, Coeff
     }
 
 
+def _cleared(num: list[Element], den: int) -> tuple[list[Element], int]:
+    """(d * num, d * den) for the least d > 0 that makes every numerator integer-valued."""
+    d = lcm(*(c.denominator for n in num for c in n._terms.values()))
+    return ([n * d for n in num] if d > 1 else num), den * d
+
+
 class YSeries:
     """A polynomial of bounded degree in y with Element coefficients.
 
     The order is fixed at construction; binary operations truncate to the
-    smaller operand order, mirroring how exponential-derivation series are
-    only meaningful through their computed order.
+    smaller order.  The series is held in divided-power form (Hurwitz series;
+    W. F. Keigher, Comm. Algebra 25, 1997): an integer ``den >= 1`` and
+    integer-valued numerators ``N_k = k! * den * c_k``.  For exp(yD) a,
+    N_k = D^k(den * a); a product is the Leibniz convolution
+    ``sum_i binom(k, i) A_i B_(k-i)`` over ``den_a * den_b``.  ``coefficient``
+    divides once, when read; ``YSeries(coeffs)`` takes ordinary coefficients.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, coeffs: Sequence[Element]):
+    def __init__(self, coeffs: Sequence["Element | Scalar"]):
         if not coeffs:
             raise ValueError("a series needs at least its order-0 coefficient")
-        self._coeffs = [c if isinstance(c, Element) else Element.const(c) for c in coeffs]
+        num = [c if isinstance(c, Element) else Element.const(c) for c in coeffs]
+        self._num, self._den = _cleared([c * factorial(k) for k, c in enumerate(num)], 1)
+
+    @classmethod
+    def _of(cls, num: list[Element], den: int) -> YSeries:
+        """Wrap integer-valued numerators over ``den``; ``_cleared`` makes them so."""
+        out = _new(cls)
+        out._num, out._den = num, den
+        return out
 
     @classmethod
     def zero(cls, order: int) -> YSeries:
-        return cls([Element.zero() for _ in range(order + 1)])
+        return cls._of([Element.zero()] * (order + 1), 1)
 
     @classmethod
     def of_element(cls, a: "Element | Scalar", order: int) -> YSeries:
-        base = a if isinstance(a, Element) else Element.const(a)
-        return cls([base] + [Element.zero() for _ in range(order)])
+        den, terms = _numerators((a if isinstance(a, Element) else Element.const(a))._terms)
+        return cls._of([Element._of(terms)] + [Element.zero()] * order, den)
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     def coefficient(self, k: int) -> Element:
         if not 0 <= k <= self.order:
             raise IndexError(f"series has order {self.order}; no y^{k} coefficient")
-        return self._coeffs[k]
+        return self._num[k] * Fraction(1, factorial(k) * self._den)
 
     def coefficients(self) -> list[Element]:
-        return list(self._coeffs)
+        return [self.coefficient(k) for k in range(len(self._num))]
 
     def truncate(self, order: int) -> YSeries:
         if order < 0:
             raise ValueError("order must be nonnegative")
-        if order >= self.order:
-            return YSeries(self._coeffs)
-        return YSeries(self._coeffs[: order + 1])
+        return YSeries._of(self._num[: order + 1], self._den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, YSeries):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        da, db = self._den, other._den
+        return len(self._num) == len(other._num) and all(
+            a == b if da == db else a * db == b * da for a, b in zip(self._num, other._num)
+        )
 
     def __add__(self, other: object) -> YSeries:
         if not isinstance(other, YSeries):
@@ -504,53 +531,40 @@ class YSeries:
             if o is None:
                 return NotImplemented
             other = YSeries.of_element(o, self.order)
-        n = min(self.order, other.order)
-        return YSeries([self._coeffs[k] + other._coeffs[k] for k in range(n + 1)])
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        return YSeries._of([a * sa + b * sb for a, b in zip(self._num, other._num)], den)
 
     __radd__ = __add__
 
     def __neg__(self) -> YSeries:
-        return YSeries([-c for c in self._coeffs])
+        return YSeries._of([-c for c in self._num], self._den)
 
     def __sub__(self, other: object) -> YSeries:
-        if isinstance(other, YSeries):
-            return self + (-other)
-        o = Element._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __mul__(self, other: object) -> YSeries:
         if isinstance(other, YSeries):
-            n = min(self.order, other.order)
-            lhs = [_numerators(c._terms) for c in self._coeffs[: n + 1]]
-            rhs = [_numerators(c._terms) for c in other._coeffs[: n + 1]]
+            a, b = self._num, other._num
             out: list[Element] = []
-            for k in range(n + 1):
-                pairs = [
-                    (da * db, ta, tb)
-                    for (da, ta), (db, tb) in zip(lhs[: k + 1], reversed(rhs[: k + 1]))
-                    if ta and tb
-                ]
-                # one common denominator per y^k coefficient
-                den = lcm(*(d for d, _, _ in pairs))
+            for k in range(min(len(a), len(b))):
                 acc: dict[Monomial, Coeff] = {}
-                for d, ta, tb in pairs:
-                    _mul_into(acc, ta, tb, Element._key_mul, den // d)
-                out.append(Element._of(_scaled(acc, Fraction(1, den)) if den > 1 else acc))
-            return YSeries(out)
+                for i in range(k + 1):
+                    ta, tb = a[i]._terms, b[k - i]._terms
+                    if ta and tb:
+                        _mul_into(acc, ta, tb, Element._key_mul, comb(k, i))
+                out.append(Element._of(acc))
+            return YSeries._of(out, self._den * other._den)
         o = Element._coerce(other)
         if o is None:
             return NotImplemented
-        return YSeries([c * o for c in self._coeffs])
+        d, terms = _numerators(o._terms)
+        return YSeries._of([c * Element._of(terms) for c in self._num], self._den * d)
 
     __rmul__ = __mul__
 
-    def substitute_param(self, name: str, value: Scalar) -> YSeries:
-        return YSeries([c.substitute_param(name, value) for c in self._coeffs])
-
     def __bool__(self) -> bool:
-        return any(self._coeffs)
+        return any(self._num)
 
     def __str__(self) -> str:
         return render.series(render.TEXT, self)

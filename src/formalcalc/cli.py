@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from . import jsonio, latexio
+from . import jsonio, latexio, render
 from .algebra import YSeries
 from .checks import verify_automorphism, verify_composition
 from .combinatorics import stirling_rows, verify_chain_product, verify_lubell
@@ -181,8 +181,8 @@ def _run_lift(args: argparse.Namespace) -> int:
 
 
 def _text_table(rows: list[list[int]]) -> Iterator[str]:
-    width = max(len(str(v)) for row in rows for v in row)
-    return (" ".join(f"{v:>{width}}" for v in row).rstrip() for row in rows)
+    width = max(len(render.integer(v)) for row in rows for v in row)
+    return (" ".join(render.integer(v).rjust(width) for v in row).rstrip() for row in rows)
 
 
 def _run_table(args: argparse.Namespace) -> int:
@@ -225,9 +225,22 @@ def _run_fdb(args: argparse.Namespace) -> int:
     )
 
 
+# The largest |exponent| a weight in exponent notation may carry: 1e999999
+# alone is a million-digit integer, and the solver multiplies its powers.
+_WEIGHT_EXPONENT_CAP = 9999
+
+
 def _run_umbral(args: argparse.Namespace) -> int:
+    parts = [part.strip() for part in args.B.split(",") if part.strip()]
+    for part in parts:  # before Fraction builds 10^exponent
+        _, e, exponent = part.lower().partition("e")
+        digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+        if e and digits.isdecimal() and (len(digits) > 9 or int(digits) > _WEIGHT_EXPONENT_CAP):
+            raise ValueError(
+                f"weight {part!r}: exponent above the cap {_WEIGHT_EXPONENT_CAP} in absolute value"
+            )
     try:
-        weights = [Fraction(part.strip()) for part in args.B.split(",") if part.strip()]
+        weights = [Fraction(part) for part in parts]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"could not read weights from {args.B!r}") from exc
     shift = umbral_shift(weights, args.depth)

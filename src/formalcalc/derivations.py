@@ -20,11 +20,9 @@ ClosureError up front rather than failing midway through a power.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
 from typing import Callable, Mapping
 
-from .algebra import Element, Exponent, Monomial, YSeries, gen_name
+from .algebra import Element, Exponent, Monomial, YSeries, _cleared, _numerators, gen_name
 from .params import Coeff, _accumulate
 
 
@@ -131,19 +129,18 @@ class Derivation:
         if order < 0:
             raise ValueError("order must be nonnegative")
         self.check_closure(a)
-        # differentiate den * a, whose coefficients are integer-valued, and
-        # scale each D^k once, by 1/(k! den)
-        den, current = a._numerators()
-        coeffs = [a]
+        # the numerators of the divided-power form are D^k(den * a); a rational
+        # exponent brought down as a factor leaves a denominator, cleared into den
+        den, terms = _numerators(a._terms)
+        num = [Element._of(terms)]
         self._expanding = True
         try:
-            for k in range(1, order + 1):
-                current = self.apply(current)
-                coeffs.append(current * (Fraction(1, factorial(k)) / den))
+            for _ in range(order):
+                num.append(self.apply(num[-1]))
         finally:
             self._expanding = False
             self._mono_images.clear()
-        return YSeries(coeffs)
+        return YSeries._of(*_cleared(num, den))
 
     def __repr__(self) -> str:
         return f"Derivation({self.name})"

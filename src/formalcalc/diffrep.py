@@ -32,7 +32,7 @@ class IndexShift:
         )
 
     def on_series(self, series: YSeries) -> YSeries:
-        return YSeries([self(c) for c in series.coefficients()])
+        return YSeries._of([self(n) for n in series._num], series._den)
 
     def inverse(self) -> IndexShift:
         return IndexShift(-self.offset)

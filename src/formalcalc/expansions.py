@@ -24,10 +24,9 @@ combinatorial identities; the tests treat any disagreement as an error.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, prod
 
-from .algebra import Element, Exponent, Monomial, YSeries, binom
+from .algebra import Element, Exponent, Monomial, YSeries, binom, falling_row
 from .combinatorics import (
     _compositions,
     _descending_chains,
@@ -35,31 +34,26 @@ from .combinatorics import (
     stirling1,
     stirling_chain,
 )
-from .params import Coeff, ParamPoly, Scalar, canonical_coeff
+from .params import Coeff, Scalar
 
 FORMS = ("stirling", "chain", "symmetric")
 
 
 def binomial_series(exponent: "Exponent | Scalar", order: int) -> YSeries:
-    """(x+y)^e truncated at y-order N: sum_n binom(e,n) x^(e-n) y^n."""
+    """(x+y)^e to y-order N: sum_n binom(e,n) x^(e-n) y^n; numerators falling(e,n) x^(e-n)."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     e = Exponent.of(exponent)
-    return YSeries(
-        [Element({Monomial.gen(0, e - n): binom(e, n)}) for n in range(order + 1)]
-    )
+    den, row = falling_row(e, order)
+    return YSeries._of([Element({Monomial.gen(0, e - n): f}) for n, f in enumerate(row)], den)
 
 
 def log_series(order: int) -> YSeries:
-    """log(x+y) truncated at y-order N: log x + sum (-1)^(i-1) x^-i y^i / i."""
+    """log(x+y) to order N: log x + sum (-1)^(i-1) x^-i y^i/i; numerators (-1)^(i-1) (i-1)! x^-i."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    coeffs = [Element.gen(1)]
-    for i in range(1, order + 1):
-        coeffs.append(
-            Element({Monomial.gen(0, -i): ParamPoly.const(Fraction((-1) ** (i - 1), i))})
-        )
-    return YSeries(coeffs)
+    num = [Element({Monomial.gen(0, -1 - k): (-1) ** k * factorial(k)}) for k in range(order)]
+    return YSeries._of([Element.gen(1), *num], 1)
 
 
 def log_power_series(exponent: "Exponent | Scalar", order: int) -> YSeries:
@@ -73,11 +67,9 @@ def log_power_series(exponent: "Exponent | Scalar", order: int) -> YSeries:
         raise ValueError("order must be nonnegative")
     e = Exponent.of(exponent)
     inner = log_series(order) - Element.gen(1)  # L = log(1+y/x), valuation 1
-    out = YSeries.zero(order)
-    lpower = YSeries.of_element(Element.one(), order)
+    out, lpower = YSeries.zero(order), YSeries.of_element(1, order)
     for j in range(order + 1):
-        term = lpower * Element({Monomial.gen(1, e - j): binom(e, j)})
-        out = out + term
+        out = out + lpower * Element({Monomial.gen(1, e - j): binom(e, j)})
         lpower = lpower * inner
     return out
 
@@ -102,15 +94,14 @@ def iterated_log_series(
     if form not in FORMS:
         raise ValueError(f"unknown formula {form!r}; choose from {FORMS}")
     e = Exponent.of(exponent)
-    binoms = [canonical_coeff(binom(e, j)) for j in range(order + 1)]
-    facts = [factorial(j) for j in range(order + 1)]
-    # terms[k] collects the (monomial, coefficient) pairs of y^k
+    den, falls = falling_row(e, order)
+    # terms[k] collects the (monomial, numerator) pairs of y^k: the
+    # coefficient binom(e, j_n) * j_n!/k! * weight is falling(e, j_n)/k! * weight
     terms: list[list[tuple[Monomial, Coeff]]] = [[] for _ in range(order + 1)]
 
     def add(k: int, drops: tuple[int, ...], jn: int, weight: int) -> None:
-        """Add binom(e, j_n) * j_n!/k! * weight times the tower monomial to y^k."""
-        scale = Fraction(facts[jn] * weight, facts[k])  # the one Fraction of the term
-        terms[k].append((_tower_monomial(n, e, drops), binoms[jn] * scale))
+        """Add den * falling(e, j_n) * weight times the tower monomial to y^k."""
+        terms[k].append((_tower_monomial(n, e, drops), falls[jn] * weight))
 
     if form == "stirling":
         for j0 in range(order + 1):
@@ -125,7 +116,7 @@ def iterated_log_series(
                     add(j0, tup, jn, -weight if (j0 + jn) & 1 else weight)
 
     elif form == "chain":
-        terms[0].append((Monomial.gen(n, e), 1))
+        terms[0].append((Monomial.gen(n, e), den))
         for k in range(1, order + 1):
             for js in _descending_chains(n, k, 1):
                 tup = (k,) + js  # (j_0=k, j_1, ..., j_n), all >= 1
@@ -144,7 +135,7 @@ def iterated_log_series(
                 if weight:
                     add(k, tuple(suffix[: n + 1]), js[n], weight)
 
-    return YSeries([Element.from_terms(t) for t in terms])
+    return YSeries._of([Element.from_terms(t) for t in terms], den)
 
 
 def closed_form_series(a: Element, order: int, form: str = "stirling") -> YSeries:
@@ -165,11 +156,8 @@ def closed_form_series(a: Element, order: int, form: str = "stirling") -> YSerie
                     f"no closed-form expansion for {Monomial.gen(index, e)}; "
                     "negative tower indices are engine-only"
                 )
-            factor = (
-                binomial_series(e, order)
-                if index == 0
-                else iterated_log_series(index, e, order, form)
+            term = term * (
+                iterated_log_series(index, e, order, form) if index else binomial_series(e, order)
             )
-            term = term * factor
         out = out + term
     return out

@@ -1,18 +1,23 @@
 """JSON encoding/decoding for the algebra types and CLI payloads.
 
 Rationals are strings like ``"-3/2"`` (exactness survives any JSON
-round-trip; floats never appear).  The document shapes produced by the CLI
-are described by ``schema/cli-output.schema.json``, shipped inside the
-package; ``load_schema`` returns it as a dict.
+round-trip; floats never appear).  Integers of any size are written in
+full (``render.integer``) and read back by ``integer_from_json``, also past
+the interpreter's limit on int-to-str digits.  The document shapes produced
+by the CLI are described by ``schema/cli-output.schema.json``, shipped
+inside the package; ``load_schema`` returns it as a dict.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
-from typing import Any
+from typing import Any, Iterator
 
+from . import render
 from .algebra import Element, Exponent, Monomial, YSeries
 from .faadibruno import FdbPoly, UmbralShift
 from .params import ParamPoly
@@ -20,17 +25,38 @@ from .qpoly import QPoly
 from .report import VerifyReport
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def integer_from_json(s: str) -> int:
+    """The integer of a string of decimal digits, at any size.
+
+    ``int`` refuses one past ``sys.get_int_max_str_digits()`` digits;
+    ``Decimal`` reads it exactly.  Serves as ``json.loads(parse_int=...)``.
+    """
+    try:
+        return int(s)
+    except ValueError:
+        if not _INTEGER.fullmatch(s):
+            raise
+        return int(Decimal(s))
+
+
 def fraction_to_json(q: Fraction) -> str:
-    return str(q)
+    return render.rational(q)
 
 
 def fraction_from_json(s: str) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ValueError:
+        num, slash, den = s.partition("/")
+        return Fraction(integer_from_json(num), integer_from_json(den) if slash else 1)
 
 
 def parampoly_to_json(p: ParamPoly) -> list[dict[str, Any]]:
     return [
-        {"coeff": str(c), "powers": {name: power for name, power in key}}
+        {"coeff": render.rational(c), "powers": {name: power for name, power in key}}
         for key, c in p.sorted_items()
     ]
 
@@ -39,17 +65,17 @@ def parampoly_from_json(data: list[dict[str, Any]]) -> ParamPoly:
     pairs = []
     for term in data:
         key = tuple(sorted((str(n), int(p)) for n, p in term["powers"].items()))
-        pairs.append((key, Fraction(term["coeff"])))
+        pairs.append((key, fraction_from_json(term["coeff"])))
     return ParamPoly.from_terms(pairs)
 
 
 def exponent_to_json(e: Exponent) -> dict[str, Any]:
-    return {"const": str(e.const), "linear": {n: m for n, m in e.linear}}
+    return {"const": render.rational(e.const), "linear": {n: m for n, m in e.linear}}
 
 
 def exponent_from_json(data: dict[str, Any]) -> Exponent:
     return Exponent(
-        Fraction(data["const"]),
+        fraction_from_json(data["const"]),
         tuple((str(n), int(m)) for n, m in data["linear"].items()),
     )
 
@@ -94,17 +120,17 @@ def yseries_from_json(data: dict[str, Any]) -> YSeries:
 
 
 def qpoly_to_json(p: QPoly) -> list[str]:
-    return [str(c) for c in p]
+    return [render.rational(c) for c in p]
 
 
 def qpoly_from_json(data: list[str]) -> QPoly:
-    return [Fraction(c) for c in data]
+    return [fraction_from_json(c) for c in data]
 
 
 def fdbpoly_to_json(p: FdbPoly) -> list[dict[str, Any]]:
     return [
         {
-            "coeff": str(c),
+            "coeff": render.rational(c),
             "outer": {str(i): e for i, e in ys},
             "inner": {str(j): e for j, e in xs},
         }
@@ -117,7 +143,7 @@ def fdbpoly_from_json(data: list[dict[str, Any]]) -> FdbPoly:
     for term in data:
         ys = tuple(sorted((int(i), int(e)) for i, e in term["outer"].items()))
         xs = tuple(sorted((int(j), int(e)) for j, e in term["inner"].items()))
-        pairs.append(((ys, xs), Fraction(term["coeff"])))
+        pairs.append(((ys, xs), fraction_from_json(term["coeff"])))
     return FdbPoly.from_terms(pairs)
 
 
@@ -155,7 +181,7 @@ def fdb_doc(order: int, coefficients: list[FdbPoly]) -> dict[str, Any]:
 def umbral_doc(shift: UmbralShift) -> dict[str, Any]:
     return {
         "kind": "umbral",
-        "weights": [str(w) for w in shift.weights],
+        "weights": [render.rational(w) for w in shift.weights],
         "rows": [
             {"power": k, "image": qpoly_to_json(img)}
             for k, img in enumerate(shift.images)
@@ -163,8 +189,28 @@ def umbral_doc(shift: UmbralShift) -> dict[str, Any]:
     }
 
 
-def dumps(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, indent=2, sort_keys=False)
+def dumps(doc: Any) -> str:
+    """``json.dumps(doc, indent=2)``, writing integers of any size in full."""
+    return "".join(_chunks(doc, "\n"))
+
+
+def _chunks(doc: Any, indent: str) -> Iterator[str]:
+    """The pieces of ``dumps(doc)``; ``indent`` starts each line of ``doc``'s level."""
+    if type(doc) is int:
+        yield render.integer(doc)
+    elif doc and isinstance(doc, (dict, list, tuple)):
+        inner = indent + "  "
+        keyed = isinstance(doc, dict)
+        yield "{" if keyed else "["
+        for n, item in enumerate(doc.items() if keyed else doc):
+            yield f",{inner}" if n else inner
+            if keyed:
+                key, item = item
+                yield json.dumps(key) + ": "
+            yield from _chunks(item, inner)
+        yield indent + ("}" if keyed else "]")
+    else:
+        yield json.dumps(doc)
 
 
 def load_schema() -> dict[str, Any]:

@@ -18,10 +18,11 @@ from .qpoly import QPoly
 
 
 def latex_fraction(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
     sign = "-" if q < 0 else ""
-    return f"{sign}\\tfrac{{{abs(q.numerator)}}}{{{q.denominator}}}"
+    num = render.integer(abs(q.numerator))
+    if q.denominator == 1:
+        return sign + num
+    return f"{sign}\\tfrac{{{num}}}{{{render.integer(q.denominator)}}}"
 
 
 LATEX = render.Style(
@@ -62,7 +63,7 @@ def _environment(name: str, rows: Iterable[str], spec: str = "") -> str:
 
 def latex_table(rows: list[list[int]]) -> str:
     width = max(len(row) for row in rows)
-    cells = (" & ".join(str(v) for v in row) for row in rows)
+    cells = (" & ".join(render.integer(v) for v in row) for row in rows)
     return _environment("array", cells, "{" + "r" * width + "}")
 
 

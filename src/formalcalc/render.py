@@ -9,12 +9,14 @@ output formats differ only in their tokens, held in a ``Style``: ``TEXT``
 here and ``latexio.LATEX``.
 
 This module imports nothing from the package; the walkers read the fields
-of the values they print.
+of the values they print.  Every integer that text, LaTeX or JSON prints
+goes through ``integer``, which is exact at any size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -37,8 +39,29 @@ class Style:
     tower: str  # the name of l_n
 
 
+def integer(n: int) -> str:
+    """The decimal digits of ``n``, at any size.
+
+    ``str`` refuses an int past ``sys.get_int_max_str_digits()`` digits
+    (4,300 by default); ``Decimal`` converts exactly and has no such limit.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+def rational(q: int | Fraction) -> str:
+    """``str(q)``, ``p`` or ``p/q``, at any size (see ``integer``)."""
+    try:
+        return str(q)
+    except ValueError:
+        num = integer(q.numerator)
+        return num if q.denominator == 1 else f"{num}/{integer(q.denominator)}"
+
+
 TEXT = Style(
-    number=str,
+    number=rational,
     times="*",
     exponent_times="*",
     sup=("^", ""),

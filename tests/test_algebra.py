@@ -258,6 +258,44 @@ def test_yseries_string():
     assert str(s) == "log(x) + y - y^3"
 
 
+def test_divided_form_compares_values_across_denominators():
+    """Series are held as numerators over one denominator; equal values with
+    different denominators compare equal."""
+    r = Exponent.param("r")
+    half_xr = Element.gen(0, r) * Fraction(1, 2)
+    order = 4
+    ordinary = YSeries(
+        [Element({Monomial.gen(0, r - k): binom(r, k) * Fraction(1, 2)}) for k in range(order + 1)]
+    )
+    assert ordinary == d_dx().exp_series(half_xr, order)
+    # exp(yD)(a*b) over den 1 against exp(yD)(a) * exp(yD)(b) over den 2 * 1
+    a, b = Element.gen(0) * Fraction(1, 2), Element.gen(0) * 2
+    lhs = d_dx().exp_series(a * b, order)
+    rhs = d_dx().exp_series(a, order) * d_dx().exp_series(b, order)
+    assert lhs._den != rhs._den
+    assert lhs == rhs and rhs == lhs
+    # the same value over a larger denominator
+    scaled = YSeries._of([n * 3 for n in ordinary._num], ordinary._den * 3)
+    assert scaled == ordinary
+    assert scaled.coefficients() == ordinary.coefficients()
+
+
+def test_divided_form_tells_series_apart():
+    """One differing coefficient or a differing order makes series unequal,
+    whatever their denominators."""
+    s = d_dx().exp_series(Element.gen(0, 3) * Fraction(2, 3) + Element.gen(1), 4)
+    for k in range(s.order + 1):
+        coeffs = s.coefficients()
+        coeffs[k] = coeffs[k] + Element.gen(2) * Fraction(1, 7)
+        changed = YSeries(coeffs)
+        assert changed._den != s._den
+        assert changed != s and s != changed
+    assert s.truncate(3) != s
+    assert s != s * 2
+    assert YSeries.zero(2) != YSeries.zero(3)
+    assert s - s == YSeries.zero(4)
+
+
 def test_equality_ignores_coefficient_representation():
     """A rational coefficient held as int/Fraction equals the same value held as ParamPoly.const."""
     m = Monomial.gen(0, 2) * Monomial.gen(1, -1)

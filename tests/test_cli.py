@@ -5,13 +5,15 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 
 import jsonschema
 import pytest
 
 from formalcalc import cli
-from formalcalc.jsonio import load_schema
+from formalcalc.jsonio import fraction_from_json, load_schema
 from formalcalc.report import VerifyReport
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -204,6 +206,27 @@ def test_umbral_bad_weights():
     assert result.returncode == 2
     assert result.stderr == "formalcalc: could not read weights from '1/0'\n"
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("fmt", ("text", "json", "latex"))
+def test_umbral_prints_integers_past_the_str_limit(fmt):
+    """1e5000 is a 5,001-digit weight: every format prints it in full."""
+    result = run_cli("--format", fmt, "umbral", "--B", "1e5000", "--depth", "2")
+    assert result.returncode == 0, result.stderr
+    assert "1" + "0" * 5000 in result.stdout
+    if fmt == "json":
+        doc = json.loads(result.stdout)
+        assert fraction_from_json(doc["weights"][0]) == Fraction(10**5000)
+
+
+def test_weight_exponent_cap(capsys):
+    """An exponent past 9999 is refused before Fraction builds 10^exponent."""
+    for weights in ("1e999999", "1,2E-10000", "1e+0_0_10000"):
+        start = perf_counter()
+        assert cli.main(["umbral", "--B", weights, "--depth", "2"]) == 2
+        assert perf_counter() - start < 1.0
+        assert "exponent above the cap 9999" in capsys.readouterr().err
+    assert cli.main(["umbral", "--B", "1e9999,1e-0_9999", "--depth", "2"]) == 0
 
 
 def test_closed_form_refuses_exponential_tower():

@@ -17,6 +17,7 @@ from formalcalc.algebra import Element, Exponent, Monomial, YSeries, _numerators
 from formalcalc.checks import random_element
 from formalcalc.derivations import d_dx, x_d_dx
 from formalcalc.diffrep import lifted_exp
+from formalcalc.expansions import FORMS, binomial_series, iterated_log_series
 from formalcalc.params import ParamPoly
 
 # reference terms: {powers tuple: ParamPoly}, no zero coefficients
@@ -237,7 +238,9 @@ def test_rational_symbolic_elements_match_reference():
 
 def test_stored_values_are_int_when_integral():
     """Every coefficient the engine hands back is in stored form: an int when
-    integral, a Fraction otherwise, also inside each ParamPoly."""
+    integral, a Fraction otherwise, also inside each ParamPoly.  And every
+    numerator a series stores (the divided-power form) is an int, inside each
+    ParamPoly too, for exp_series, products and the closed forms alike."""
     rng = Random(108)
 
     def check(value):
@@ -247,10 +250,25 @@ def test_stored_values_are_int_when_integral():
         else:
             assert type(value) is (int if value.denominator == 1 else Fraction), value
 
+    def check_numerators(series):
+        for n in series._num:
+            for _, coeff in n.raw_items():
+                values = [v for _, v in coeff.items()] if isinstance(coeff, ParamPoly) else [coeff]
+                assert all(type(v) is int for v in values), coeff
+
     for _ in range(10):
         a = rational_symbolic_element(rng)
         for deriv in (d_dx(), x_d_dx()):
-            series = deriv.exp_series(a, 4) * deriv.exp_series(a, 4)
+            sa = deriv.exp_series(a, 4)
+            series = sa * sa
+            check_numerators(sa)
+            check_numerators(series)
             for c in series.coefficients():
                 for _, coeff in c.raw_items():
                     check(coeff)
+    for e in (Exponent.param("r", 1, Fraction(1, 2)), Exponent.param("s", -2, Fraction(-1, 3)),
+              Exponent.of(Fraction(2, 3)), Exponent.param("r")):
+        check_numerators(binomial_series(e, 5))
+        for n in (1, 2):
+            for form in FORMS:
+                check_numerators(iterated_log_series(n, e, 5, form))

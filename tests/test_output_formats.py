@@ -7,7 +7,7 @@ from random import Random
 import jsonschema
 import pytest
 
-from formalcalc import latexio, qpoly
+from formalcalc import cli, latexio, qpoly, render
 from formalcalc.algebra import Element, Exponent
 from formalcalc.checks import random_element, random_qpoly
 from formalcalc.derivations import d_dx
@@ -22,10 +22,12 @@ from formalcalc.jsonio import (
     fdbpoly_to_json,
     fraction_from_json,
     fraction_to_json,
+    integer_from_json,
     load_schema,
     qpoly_from_json,
     qpoly_to_json,
     series_doc,
+    table_doc,
     yseries_from_json,
     yseries_to_json,
 )
@@ -37,6 +39,38 @@ def test_fraction_codec():
     assert fraction_to_json(Fraction(5)) == "5"
     assert fraction_from_json("-3/4") == Fraction(-3, 4)
     assert fraction_from_json("7") == Fraction(7)
+
+
+def test_integers_past_the_str_digit_limit():
+    """Exact integers print in full at any size, and JSON reads them back."""
+    big = 10**5000 + 7
+    digits = "1" + "0" * 4999 + "7"
+    assert render.integer(big) == digits and render.integer(-big) == "-" + digits
+    q = Fraction(-big, 3)
+    assert render.rational(q) == f"-{digits}/3"
+    assert fraction_from_json(fraction_to_json(q)) == q
+    assert fraction_from_json(digits) == big
+    assert integer_from_json(digits) == big and integer_from_json("-12") == -12
+    for junk in ("1e5", "12a", "1" * 5000 + "x"):
+        with pytest.raises(ValueError):
+            integer_from_json(junk)
+    assert latexio.latex_fraction(q) == f"-\\tfrac{{{digits}}}{{3}}"
+    rows = [[1], [0, big]]
+    assert list(cli._text_table(rows))[1] == " " * 5000 + "0 " + digits
+    assert latexio.latex_table(rows).splitlines()[2] == f"0 & {digits} \\\\"
+    doc = table_doc(1, rows)
+    assert json.loads(dumps(doc), parse_int=integer_from_json) == doc
+
+
+def test_dumps_matches_json_module():
+    """``dumps`` writes what ``json.dumps(doc, indent=2)`` writes."""
+    doc = {
+        "kind": "x", "empty": [], "none": None, "flag": True, "nested": {"a": [1, -2, {}]},
+        "text": "caf\u00e9 \"q\"", "rows": [[0, 1], [2]],
+    }
+    assert dumps(doc) == json.dumps(doc, indent=2)
+    doc = series_doc("expand", "e", d_dx().exp_series(parse_element("x^r*log(x)^(1/2)"), 3))
+    assert dumps(doc) == json.dumps(doc, indent=2)
 
 
 def test_exponent_codec():

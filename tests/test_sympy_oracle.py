@@ -12,6 +12,7 @@ import pytest
 
 from formalcalc.algebra import Element
 from formalcalc.derivations import d_dx, x_d_dx
+from formalcalc.expansions import FORMS, closed_form_series
 
 sympy = pytest.importorskip("sympy")
 
@@ -70,3 +71,12 @@ def test_exp_x_d_dx_is_the_dilation(r):
     """The formal Taylor theorem for x*d/dx: exp(y x d/dx) f(x) = f(x e^y)."""
     for a, f in cases(r):
         assert_same_series(x_d_dx().exp_series(a, ORDER), f.subs(X, X * sympy.exp(Y)))
+
+
+@pytest.mark.parametrize("r", EXPONENTS, ids=str)
+def test_closed_forms_are_the_shift(r):
+    """The closed forms build their numerators without the engine; they too give f(x + y)."""
+    for a, f in cases(r):
+        if min(a.generator_indices()) >= 0:
+            for form in FORMS:
+                assert_same_series(closed_form_series(a, ORDER, form), f.subs(X, X + Y))

@@ -13,9 +13,8 @@ coefficients c_m exact parameter polynomials (see params), stored as plain
 rationals when no parameter appears.  Monomials multiply by merging their
 index-sorted power tuples.  A YSeries is a
 polynomial in a central variable y of bounded degree with Element
-coefficients, held in divided-power form; it is the truncation type for
-exponential-of-derivation series, and arithmetic on series truncates to
-the smaller order.
+coefficients; it is the truncation type for exponential-of-derivation
+series, and arithmetic on series truncates to the smaller order.
 
 Exponents are hash-consed, and two module tables serve that:
 
@@ -26,9 +25,7 @@ Exponents are hash-consed, and two module tables serve that:
   most ``_SUM_MEMO_SIZE`` entries: it is emptied when it reaches that size.
 
 Also here: ``binom(e, n)``, the algebraic binomial coefficient
-e*(e-1)*...*(e-n+1)/n!, which is a parameter polynomial when e is, and
-``falling_row``, the falling factorials over one denominator, as the
-closed forms use them.
+e*(e-1)*...*(e-n+1)/n!, which is a parameter polynomial when e is.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import render
 from .params import (
@@ -229,14 +226,10 @@ _ZERO = Exponent()
 
 
 def falling_row(exponent: "Exponent | Scalar", order: int) -> tuple[int, list[Coeff]]:
-    """(den, [den * e*(e-1)*...*(e-j+1) for j <= order]), every entry integer-valued.
-
-    den = q^order for the denominator q of e's constant: falling factorial j
-    has a denominator dividing q^j.
-    """
+    """(den, [den * e*(e-1)*...*(e-j+1) for j <= order]), every entry integer-valued:
+    den = q^order for the denominator q of e's constant divides falling factorial j."""
     e = Exponent.of(exponent)
-    den = e.const.denominator**order
-    p = e.to_parampoly()
+    den, p = e.const.denominator**order, e.to_parampoly()
     row: list[Coeff] = [den]
     for j in range(order):
         row.append(canonical_coeff(row[-1] * (p - j)))
@@ -425,6 +418,11 @@ class Element(Sparse):
     def generator_indices(self) -> set[int]:
         return {i for mono in self._terms for i in mono.indices()}
 
+    def _numerators(self) -> tuple[int, Element]:
+        """(d, d * self) with d > 0 least such that every rational coefficient is an integer."""
+        d, terms = _numerators(self._terms)
+        return d, Element._of(terms)
+
     def substitute_param(self, name: str, value: Scalar) -> Element:
         """Specialize a parameter to an exact rational everywhere it occurs."""
         return Element.from_terms(
@@ -442,14 +440,15 @@ class Element(Sparse):
         return f"Element({self})"
 
 
-def _numerators(terms: dict[Monomial, Coeff]) -> tuple[int, dict[Monomial, Coeff]]:
-    """(d, d * terms) for the least d > 0 that makes every coefficient integer-valued.
+def _numerators(terms: dict[Monomial, Coeff], d: int = 0) -> tuple[int, dict[Monomial, Coeff]]:
+    """(d, d * terms) for the least d > 0 that makes every coefficient integer-valued,
+    or for the given d, which every coefficient's denominator must divide.
 
     Integer arithmetic is much cheaper than Fraction arithmetic, so series
     work on numerators (see YSeries).  A ParamPoly coefficient counts the
     denominators of all its values.
     """
-    d = lcm(*(c.denominator for c in terms.values()))
+    d = d or lcm(*(c.denominator for c in terms.values()))
     if d == 1:
         return 1, terms
     return d, {
@@ -460,8 +459,10 @@ def _numerators(terms: dict[Monomial, Coeff]) -> tuple[int, dict[Monomial, Coeff
 
 def _cleared(num: list[Element], den: int) -> tuple[list[Element], int]:
     """(d * num, d * den) for the least d > 0 that makes every numerator integer-valued."""
+    if not num:
+        raise ValueError("a series needs at least its order-0 coefficient")
     d = lcm(*(c.denominator for n in num for c in n._terms.values()))
-    return ([n * d for n in num] if d > 1 else num), den * d
+    return [Element._of(_numerators(n._terms, d)[1]) for n in num] if d > 1 else num, den * d
 
 
 class YSeries:
@@ -473,16 +474,20 @@ class YSeries:
     integer-valued numerators ``N_k = k! * den * c_k``.  For exp(yD) a,
     N_k = D^k(den * a); a product is the Leibniz convolution
     ``sum_i binom(k, i) A_i B_(k-i)`` over ``den_a * den_b``.  ``coefficient``
-    divides once, when read; ``YSeries(coeffs)`` takes ordinary coefficients.
+    divides once, when read.  ``YSeries(coeffs)`` takes ordinary coefficients,
+    ``YSeries.divided(numerators, den)`` the divided-power form.
     """
 
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Sequence["Element | Scalar"]):
-        if not coeffs:
-            raise ValueError("a series needs at least its order-0 coefficient")
         num = [c if isinstance(c, Element) else Element.const(c) for c in coeffs]
         self._num, self._den = _cleared([c * factorial(k) for k, c in enumerate(num)], 1)
+
+    @classmethod
+    def divided(cls, numerators: list[Element], den: int = 1) -> YSeries:
+        """The series whose y^k coefficient is ``numerators[k] / (k! * den)``."""
+        return cls._of(*_cleared(numerators, den))
 
     @classmethod
     def _of(cls, num: list[Element], den: int) -> YSeries:
@@ -497,8 +502,8 @@ class YSeries:
 
     @classmethod
     def of_element(cls, a: "Element | Scalar", order: int) -> YSeries:
-        den, terms = _numerators((a if isinstance(a, Element) else Element.const(a))._terms)
-        return cls._of([Element._of(terms)] + [Element.zero()] * order, den)
+        den, num = (a if isinstance(a, Element) else Element.const(a))._numerators()
+        return cls._of([num] + [Element.zero()] * order, den)
 
     @property
     def order(self) -> int:
@@ -511,6 +516,10 @@ class YSeries:
 
     def coefficients(self) -> list[Element]:
         return [self.coefficient(k) for k in range(len(self._num))]
+
+    def map(self, f: Callable[[Element], Element]) -> YSeries:
+        """The series with coefficients f(c_k), for a map f linear over the rationals."""
+        return YSeries.divided([f(n) for n in self._num], self._den)
 
     def truncate(self, order: int) -> YSeries:
         if order < 0:
@@ -541,7 +550,12 @@ class YSeries:
         return YSeries._of([-c for c in self._num], self._den)
 
     def __sub__(self, other: object) -> YSeries:
-        return self + (-other)
+        if isinstance(other, YSeries):
+            return self + (-other)
+        o = Element._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
 
     def __mul__(self, other: object) -> YSeries:
         if isinstance(other, YSeries):
@@ -558,8 +572,8 @@ class YSeries:
         o = Element._coerce(other)
         if o is None:
             return NotImplemented
-        d, terms = _numerators(o._terms)
-        return YSeries._of([c * Element._of(terms) for c in self._num], self._den * d)
+        d, o = o._numerators()
+        return YSeries._of([c * o for c in self._num], self._den * d)
 
     __rmul__ = __mul__
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
-from .algebra import Element, Exponent, Monomial, YSeries, _cleared, _numerators, gen_name
+from .algebra import Element, Exponent, Monomial, YSeries, gen_name
 from .params import Coeff, _accumulate
 
 
@@ -129,10 +129,10 @@ class Derivation:
         if order < 0:
             raise ValueError("order must be nonnegative")
         self.check_closure(a)
-        # the numerators of the divided-power form are D^k(den * a); a rational
-        # exponent brought down as a factor leaves a denominator, cleared into den
-        den, terms = _numerators(a._terms)
-        num = [Element._of(terms)]
+        # differentiate den * a, whose coefficients are integer-valued: the
+        # D^k(den * a) are the numerators of the divided-power form
+        den, current = a._numerators()
+        num = [current]
         self._expanding = True
         try:
             for _ in range(order):
@@ -140,7 +140,7 @@ class Derivation:
         finally:
             self._expanding = False
             self._mono_images.clear()
-        return YSeries._of(*_cleared(num, den))
+        return YSeries.divided(num, den)
 
     def __repr__(self) -> str:
         return f"Derivation({self.name})"

@@ -32,7 +32,7 @@ class IndexShift:
         )
 
     def on_series(self, series: YSeries) -> YSeries:
-        return YSeries._of([self(n) for n in series._num], series._den)
+        return series.map(self)
 
     def inverse(self) -> IndexShift:
         return IndexShift(-self.offset)

@@ -45,7 +45,7 @@ def binomial_series(exponent: "Exponent | Scalar", order: int) -> YSeries:
         raise ValueError("order must be nonnegative")
     e = Exponent.of(exponent)
     den, row = falling_row(e, order)
-    return YSeries._of([Element({Monomial.gen(0, e - n): f}) for n, f in enumerate(row)], den)
+    return YSeries.divided([Element({Monomial.gen(0, e - n): f}) for n, f in enumerate(row)], den)
 
 
 def log_series(order: int) -> YSeries:
@@ -53,7 +53,7 @@ def log_series(order: int) -> YSeries:
     if order < 0:
         raise ValueError("order must be nonnegative")
     num = [Element({Monomial.gen(0, -1 - k): (-1) ** k * factorial(k)}) for k in range(order)]
-    return YSeries._of([Element.gen(1), *num], 1)
+    return YSeries.divided([Element.gen(1), *num])
 
 
 def log_power_series(exponent: "Exponent | Scalar", order: int) -> YSeries:
@@ -67,9 +67,11 @@ def log_power_series(exponent: "Exponent | Scalar", order: int) -> YSeries:
         raise ValueError("order must be nonnegative")
     e = Exponent.of(exponent)
     inner = log_series(order) - Element.gen(1)  # L = log(1+y/x), valuation 1
-    out, lpower = YSeries.zero(order), YSeries.of_element(1, order)
+    out = YSeries.zero(order)
+    lpower = YSeries.of_element(Element.one(), order)
     for j in range(order + 1):
-        out = out + lpower * Element({Monomial.gen(1, e - j): binom(e, j)})
+        term = lpower * Element({Monomial.gen(1, e - j): binom(e, j)})
+        out = out + term
         lpower = lpower * inner
     return out
 
@@ -135,7 +137,7 @@ def iterated_log_series(
                 if weight:
                     add(k, tuple(suffix[: n + 1]), js[n], weight)
 
-    return YSeries._of([Element.from_terms(t) for t in terms], den)
+    return YSeries.divided([Element.from_terms(t) for t in terms], den)
 
 
 def closed_form_series(a: Element, order: int, form: str = "stirling") -> YSeries:
@@ -156,8 +158,11 @@ def closed_form_series(a: Element, order: int, form: str = "stirling") -> YSerie
                     f"no closed-form expansion for {Monomial.gen(index, e)}; "
                     "negative tower indices are engine-only"
                 )
-            term = term * (
-                iterated_log_series(index, e, order, form) if index else binomial_series(e, order)
+            factor = (
+                binomial_series(e, order)
+                if index == 0
+                else iterated_log_series(index, e, order, form)
             )
+            term = term * factor
         out = out + term
     return out

@@ -275,7 +275,7 @@ def test_divided_form_compares_values_across_denominators():
     assert lhs._den != rhs._den
     assert lhs == rhs and rhs == lhs
     # the same value over a larger denominator
-    scaled = YSeries._of([n * 3 for n in ordinary._num], ordinary._den * 3)
+    scaled = YSeries.divided([n * 3 for n in ordinary._num], ordinary._den * 3)
     assert scaled == ordinary
     assert scaled.coefficients() == ordinary.coefficients()
 
@@ -294,6 +294,21 @@ def test_divided_form_tells_series_apart():
     assert s != s * 2
     assert YSeries.zero(2) != YSeries.zero(3)
     assert s - s == YSeries.zero(4)
+
+
+def test_divided_clears_numerators_and_map_keeps_values():
+    """``divided`` takes numerators N_k over den, clearing any rational ones
+    into den; ``map`` applies a linear map to every coefficient."""
+    half_x, third = Element.gen(0) * Fraction(1, 2), Element.gen(1, -1) * Fraction(2, 3)
+    s = YSeries.divided([half_x, third, Element.gen(2) * 6], 5)
+    fifth = Fraction(1, 5)
+    assert s.coefficients() == [half_x * fifth, third * fifth, Element.gen(2) * Fraction(3, 5)]
+    assert all(type(v) is int for n in s._num for _, v in n.raw_items())
+    double = s.map(lambda c: c * Fraction(3, 2))
+    assert double.coefficients() == [c * Fraction(3, 2) for c in s.coefficients()]
+    for empty in (lambda: YSeries([]), lambda: YSeries.divided([])):
+        with pytest.raises(ValueError):
+            empty()
 
 
 def test_equality_ignores_coefficient_representation():

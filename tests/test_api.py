@@ -1,0 +1,21 @@
+"""The public names of the package."""
+
+import formalcalc
+
+
+def test_public_names_are_pinned():
+    assert sorted(formalcalc.__all__) == [
+        "ClosureError", "ConsistencyError", "Derivation", "Element", "Exponent", "FORMS",
+        "FdbPoly", "IndexShift", "Monomial", "ParamPoly", "ParseError", "UmbralShift",
+        "VerifyReport", "YSeries", "__version__", "binom", "binomial_series",
+        "closed_form_series", "compose_expansion", "compose_series_direct",
+        "compose_series_from_table", "d_dx", "derivative_tower", "iterated_log_series",
+        "lifted_exp", "log_power_series", "log_series", "parse", "parse_element",
+        "parse_fdb", "random_element", "random_exponent", "random_qpoly", "signed_esym",
+        "stirling1", "stirling1_by_recurrence", "stirling_chain", "stirling_rows",
+        "substitute_weights", "taylor_coefficients", "to_element", "to_exponent",
+        "umbral_shift", "verify_automorphism", "verify_chain_product", "verify_composition",
+        "verify_intertwining", "verify_lubell", "x_d_dx",
+    ]
+    for name in formalcalc.__all__:
+        assert getattr(formalcalc, name) is not None, name

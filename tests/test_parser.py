@@ -8,7 +8,7 @@ import pytest
 from formalcalc.algebra import Element, Exponent
 from formalcalc.checks import random_element
 from formalcalc.faadibruno import FdbPoly, derivative_tower, taylor_coefficients
-from formalcalc.parser import MAX_NESTING, ParseError, parse_element, parse_fdb
+from formalcalc.parser import MAX_NESTING, ParseError, parse, parse_element, parse_fdb, to_exponent
 
 
 def test_parse_generators():
@@ -146,3 +146,50 @@ def test_fdb_roundtrip():
     for poly in derivative_tower(5) + taylor_coefficients(4):
         if poly:
             assert parse_fdb(str(poly)) == poly
+
+
+ENTRY_POINTS = {
+    "element": parse_element,
+    "fdb": parse_fdb,
+    "exponent": lambda text: to_exponent(parse(text)),
+}
+
+# (entry point, input, message, column): one row per reachable rejection,
+# in the order of the tokenizer, the parser and the three conversions
+REJECTIONS = [
+    ("element", "x $ 1", "unexpected character '$'", 3),
+    ("element", "l_2(x", "expected ')', found 'end of input'", 6),
+    ("element", "(" * 101 + "x" + ")" * 101, "expression nested deeper than 100 levels", 102),
+    ("element", "l_2(r)", "generators are functions of x only", 5),
+    ("element", "3/0", "zero denominator", 1),
+    ("fdb", "x_0", "inner symbols are indexed from 1", 1),
+    ("element", "2*y", "the name 'y' is reserved for the series variable", 3),
+    ("element", "sin(x)", "unknown function 'sin'", 1),
+    ("element", "x + )", "unexpected ')'", 5),
+    ("element", "x^^2", "unexpected '^'", 3),
+    ("element", "x + ", "unexpected 'end of input'", 5),
+    ("element", "x 5", "unexpected '5'", 3),
+    ("element", "x^(r^2)", "nested powers cannot appear in an exponent", 5),
+    ("element", "x^log(x)", "exponents must be affine in the parameters", 3),
+    ("exponent", "y_1", "exponents must be affine in the parameters", 1),
+    ("element", "x^(1/2*r)", "parameter coefficients in exponents must be integers", 7),
+    ("element", "x^(2*r*s)", "products of two parameters cannot appear in an exponent", 7),
+    ("exponent", "r*s", "products of two parameters cannot appear in an exponent", 2),
+    ("element", "1 + y_1",
+     "the composite-derivative symbols y_i/x_j do not live in the generator algebra", 5),
+    ("element", "(x + 1)^r",
+     "only generators may carry symbolic, fractional, or negative exponents", 8),
+    ("fdb", "y_1 + r", "only y_i, x_j, and rationals may appear here", 7),
+    ("fdb", "y_1*log(x)", "only y_i, x_j, and rationals may appear here", 5),
+    ("fdb", "y_1^(1/2)", "exponents here must be nonnegative integers", 6),
+    ("fdb", "x_1^-1", "exponents here must be nonnegative integers", 5),
+]
+
+
+@pytest.mark.parametrize("entry, text, message, column", REJECTIONS)
+def test_every_rejection_is_pinned(entry, text, message, column):
+    with pytest.raises(ParseError) as info:
+        ENTRY_POINTS[entry](text)
+    error = info.value
+    assert (error.message, error.line, error.column) == (message, 1, column)
+    assert str(error) == f"line 1, column {column}: {message}"

@@ -33,7 +33,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import render
 from .params import (
@@ -382,9 +382,8 @@ class Element(Sparse):
 
     A coefficient is stored as a plain ``int`` or ``Fraction`` unless a
     parameter appears in it, and as a ParamPoly only then (see
-    ``params.canonical_coeff``).  The public accessors ``items``,
-    ``sorted_terms`` and ``coefficient`` hand every coefficient out as a
-    ParamPoly; ``raw_items`` gives them as stored.
+    ``params.canonical_coeff``).  The accessors ``items``, ``sorted_terms``
+    and ``coefficient`` hand each coefficient out as it is stored.
     """
 
     __slots__ = ()
@@ -399,21 +398,11 @@ class Element(Sparse):
     def gen(cls, index: int, exponent: "Exponent | Scalar" = 1) -> Element:
         return cls._of({Monomial.gen(index, exponent): 1})
 
-    def items(self) -> Iterator[tuple[Monomial, ParamPoly]]:
-        return ((mono, as_parampoly(c)) for mono, c in self._terms.items())
-
-    def raw_items(self) -> Iterable[tuple[Monomial, Coeff]]:
-        """(monomial, coefficient) pairs with the coefficients as stored."""
-        return self._terms.items()
-
-    def _sorted_raw(self) -> list[tuple[Monomial, Coeff]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
 
-    def sorted_terms(self) -> list[tuple[Monomial, ParamPoly]]:
-        return [(mono, as_parampoly(c)) for mono, c in self._sorted_raw()]
-
-    def coefficient(self, mono: Monomial) -> ParamPoly:
-        return as_parampoly(self._terms.get(mono, 0))
+    def coefficient(self, mono: Monomial) -> Coeff:
+        return self._terms.get(mono, 0)
 
     def generator_indices(self) -> set[int]:
         return {i for mono in self._terms for i in mono.indices()}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from random import Random
+from typing import Iterator
 
 from . import qpoly
 from .algebra import Element, Exponent, Monomial
@@ -18,7 +19,7 @@ from .derivations import Derivation, d_dx, x_d_dx
 from .faadibruno import ConsistencyError, compose_expansion
 from .params import ParamPoly
 from .qpoly import QPoly
-from .report import VerifyReport
+from .report import VerifyReport, sweep
 
 _COEFFS = (
     Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -86,20 +87,17 @@ def verify_automorphism(
     if derivations is None:
         derivations = (d_dx(), x_d_dx())
     rng = Random(seed)
-    cases = 0
-    for _ in range(trials):
-        a = random_element(rng, index_window=(-max_index, max_index))
-        b = random_element(rng, index_window=(-max_index, max_index))
-        for deriv in derivations:
-            cases += 1
-            lhs = deriv.exp_series(a * b, order)
-            rhs = deriv.exp_series(a, order) * deriv.exp_series(b, order)
-            if lhs != rhs:
-                return VerifyReport(
-                    "automorphism", False, cases,
-                    f"{deriv.name} on a={a}, b={b}",
-                )
-    return VerifyReport("automorphism", True, cases)
+
+    def outcomes() -> Iterator[str | None]:
+        for _ in range(trials):
+            a = random_element(rng, index_window=(-max_index, max_index))
+            b = random_element(rng, index_window=(-max_index, max_index))
+            for deriv in derivations:
+                lhs = deriv.exp_series(a * b, order)
+                rhs = deriv.exp_series(a, order) * deriv.exp_series(b, order)
+                yield None if lhs == rhs else f"{deriv.name} on a={a}, b={b}"
+
+    return sweep("automorphism", outcomes())
 
 
 def verify_composition(
@@ -107,15 +105,15 @@ def verify_composition(
 ) -> VerifyReport:
     """Dual-path composite expansion on random polynomial pairs."""
     rng = Random(seed)
-    cases = 0
-    for _ in range(trials):
-        f = random_qpoly(rng, max_degree)
-        g = random_qpoly(rng, max_degree)
-        cases += 1
-        try:
-            compose_expansion(f, g, order)
-        except ConsistencyError as exc:
-            return VerifyReport(
-                "faa-di-bruno", False, cases, f"f={f}, g={g}: {exc}"
-            )
-    return VerifyReport("faa-di-bruno", True, cases)
+
+    def outcomes() -> Iterator[str | None]:
+        for _ in range(trials):
+            f = random_qpoly(rng, max_degree)
+            g = random_qpoly(rng, max_degree)
+            try:
+                compose_expansion(f, g, order)
+                yield None
+            except ConsistencyError as exc:
+                yield f"f={qpoly.to_string(f)}, g={qpoly.to_string(g)}: {exc}"
+
+    return sweep("faa-di-bruno", outcomes())

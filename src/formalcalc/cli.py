@@ -208,7 +208,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         args.format,
         lambda: [_summary_line(report)],
         lambda: jsonio.report_to_json(report),
-        lambda: f"\\text{{{report.summary()}}}",
+        lambda: latexio.text(report.summary()),
     )
     return 0 if report.passed else 1
 

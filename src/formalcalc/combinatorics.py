@@ -28,7 +28,7 @@ from itertools import combinations
 from math import factorial, prod
 from typing import Iterator, Sequence
 
-from .report import VerifyReport
+from .report import VerifyReport, sweep
 
 # Row k holds stirling1(k, j) for j = 0..k; rows are appended on demand.
 _STIRLING: list[list[int]] = [[1]]
@@ -172,28 +172,24 @@ def verify_chain_product(max_k: int = 6, max_n: int = 3) -> VerifyReport:
     Covers every descending chain with j_0 <= max_k and 1..max_n links,
     plus a sweep of non-monotone tuples, which must give 0.
     """
-    cases = 0
-    for n in range(1, max_n + 1):
-        for desc in _descending_chains(n + 1, max_k, 1):
-            votes = prod(stirling1(desc[i], desc[i + 1]) for i in range(n))
-            got = stirling_chain(tuple(reversed(desc)))
-            cases += 1
-            if got != votes:
-                return VerifyReport(
-                    "chain-product", False, cases,
-                    f"chain {tuple(reversed(desc))}: recursion {got} != product {votes}",
+
+    def outcomes() -> Iterator[str | None]:
+        for n in range(1, max_n + 1):
+            for desc in _descending_chains(n + 1, max_k, 1):
+                votes = prod(stirling1(desc[i], desc[i + 1]) for i in range(n))
+                got = stirling_chain(tuple(reversed(desc)))
+                yield None if got == votes else (
+                    f"chain {tuple(reversed(desc))}: recursion {got} != product {votes}"
                 )
-        # non-chains: any tuple that violates monotonicity must vanish
-        for j0 in range(1, max_k + 1):
-            for j1 in range(j0 + 1, max_k + 2):
-                bad = (j1,) + (1,) * (n - 1) + (j0,)
-                cases += 1
-                if stirling_chain(bad) != 0:
-                    return VerifyReport(
-                        "chain-product", False, cases,
-                        f"non-monotone chain {bad} gave nonzero",
+            # non-chains: any tuple that violates monotonicity must vanish
+            for j0 in range(1, max_k + 1):
+                for j1 in range(j0 + 1, max_k + 2):
+                    bad = (j1,) + (1,) * (n - 1) + (j0,)
+                    yield None if stirling_chain(bad) == 0 else (
+                        f"non-monotone chain {bad} gave nonzero"
                     )
-    return VerifyReport("chain-product", True, cases)
+
+    return sweep("chain-product", outcomes())
 
 
 def verify_lubell(max_n: int = 8, max_pair_sum: int | None = None) -> VerifyReport:
@@ -211,28 +207,24 @@ def verify_lubell(max_n: int = 8, max_pair_sum: int | None = None) -> VerifyRepo
     """
     if max_pair_sum is None:
         max_pair_sum = max_n + 2
-    cases = 0
-    for n in range(1, max_n + 1):
-        for m in range(1, n + 1):
-            chain = stirling_chain((m, n))
-            bracket = stirling1(n, m)
-            esym = (-1) ** (n - m) * signed_esym_by_combinations(n - m, m)
-            cases += 1
-            if not chain == bracket == esym:
-                return VerifyReport(
-                    "lubell", False, cases,
-                    f"(m,n)=({m},{n}): chain {chain}, stirling {bracket}, esym {esym}",
+
+    def outcomes() -> Iterator[str | None]:
+        for n in range(1, max_n + 1):
+            for m in range(1, n + 1):
+                chain = stirling_chain((m, n))
+                bracket = stirling1(n, m)
+                esym = (-1) ** (n - m) * signed_esym_by_combinations(n - m, m)
+                yield None if chain == bracket == esym else (
+                    f"(m,n)=({m},{n}): chain {chain}, stirling {bracket}, esym {esym}"
                 )
-    for m in range(0, max_pair_sum + 1):
-        for n in range(0, max_pair_sum - m + 1):
-            if m + n == 0:
-                continue
-            cases += 1
-            lhs = signed_esym(m, n)
-            rhs = (-1) ** m * stirling1_by_compositions(m + n, n)
-            if lhs != rhs:
-                return VerifyReport(
-                    "lubell", False, cases,
-                    f"(m;n)=({m};{n}): signed esym {lhs} != signed stirling {rhs}",
+        for m in range(0, max_pair_sum + 1):
+            for n in range(0, max_pair_sum - m + 1):
+                if m + n == 0:
+                    continue
+                lhs = signed_esym(m, n)
+                rhs = (-1) ** m * stirling1_by_compositions(m + n, n)
+                yield None if lhs == rhs else (
+                    f"(m;n)=({m};{n}): signed esym {lhs} != signed stirling {rhs}"
                 )
-    return VerifyReport("lubell", True, cases)
+
+    return sweep("lubell", outcomes())

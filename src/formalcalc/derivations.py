@@ -96,12 +96,12 @@ class Derivation:
         """
         acc: dict[Monomial, Coeff] = {}
         memo = self._mono_images if self._expanding else {}
-        for mono, coeff in a.raw_items():
+        for mono, coeff in a.items():
             img = memo.get(mono)
             if img is None:
                 img = self._derive_monomial(mono)
                 memo[mono] = img
-            for im_mono, im_coeff in img.raw_items():
+            for im_mono, im_coeff in img.items():
                 _accumulate(acc, im_mono, coeff * im_coeff)
         return Element._of(acc)
 
@@ -120,7 +120,7 @@ class Derivation:
                 lowered = Monomial._from_canonical(
                     powers[:pos] + ((index, dec),) + powers[pos + 1 :]
                 )
-            for im_mono, im_coeff in self.image(index).raw_items():
+            for im_mono, im_coeff in self.image(index).items():
                 _accumulate(acc, lowered * im_mono, scale * im_coeff)
         return Element._of(acc)
 

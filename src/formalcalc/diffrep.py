@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
+from typing import Iterator
 
 from .algebra import Element, Monomial, YSeries
 from .derivations import d_dx, x_d_dx
-from .report import VerifyReport
+from .report import VerifyReport, sweep
 
 
 @dataclass(frozen=True)
@@ -28,11 +29,8 @@ class IndexShift:
 
     def __call__(self, a: Element) -> Element:
         return Element.from_terms(
-            (mono.shift(self.offset), coeff) for mono, coeff in a.raw_items()
+            (mono.shift(self.offset), coeff) for mono, coeff in a.items()
         )
-
-    def on_series(self, series: YSeries) -> YSeries:
-        return series.map(self)
 
     def inverse(self) -> IndexShift:
         return IndexShift(-self.offset)
@@ -46,7 +44,7 @@ def lifted_exp(a: Element, order: int) -> YSeries:
     directly (that equality is what the tests assert).
     """
     up, down = IndexShift(1), IndexShift(-1)
-    return up.on_series(d_dx().exp_series(down(a), order))
+    return d_dx().exp_series(down(a), order).map(up)
 
 
 def _random_product(rng: Random, max_index: int) -> Element:
@@ -72,32 +70,21 @@ def verify_intertwining(
     """
     up, down = IndexShift(1), IndexShift(-1)
     ddx, xddx = d_dx(), x_d_dx()
-    cases = 0
 
-    def both_hold(a: Element, label: str) -> VerifyReport | None:
-        nonlocal cases
-        cases += 1
-        if up(ddx.apply(a)) != xddx.apply(up(a)):
-            return VerifyReport(
-                "intertwine", False, cases,
-                f"shift(1) d/dx != (x d/dx) shift(1) on {label}",
-            )
-        cases += 1
-        if down(xddx.apply(a)) != ddx.apply(down(a)):
-            return VerifyReport(
-                "intertwine", False, cases,
-                f"shift(-1) (x d/dx) != d/dx shift(-1) on {label}",
-            )
-        return None
+    def both_hold(a: Element, label: object) -> Iterator[str | None]:
+        yield None if up(ddx.apply(a)) == xddx.apply(up(a)) else (
+            f"shift(1) d/dx != (x d/dx) shift(1) on {label}"
+        )
+        yield None if down(xddx.apply(a)) == ddx.apply(down(a)) else (
+            f"shift(-1) (x d/dx) != d/dx shift(-1) on {label}"
+        )
 
-    for index in range(-max_index, max_index + 1):
-        failure = both_hold(Element.gen(index), f"generator l_{index}")
-        if failure:
-            return failure
-    rng = Random(seed)
-    for _ in range(product_trials):
-        a = _random_product(rng, max_index)
-        failure = both_hold(a, str(a))
-        if failure:
-            return failure
-    return VerifyReport("intertwine", True, cases)
+    def outcomes() -> Iterator[str | None]:
+        for index in range(-max_index, max_index + 1):
+            yield from both_hold(Element.gen(index), f"generator l_{index}")
+        rng = Random(seed)
+        for _ in range(product_trials):
+            a = _random_product(rng, max_index)
+            yield from both_hold(a, a)
+
+    return sweep("intertwine", outcomes())

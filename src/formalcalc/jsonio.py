@@ -20,7 +20,7 @@ from typing import Any, Iterator
 from . import render
 from .algebra import Element, Exponent, Monomial, YSeries
 from .faadibruno import FdbPoly, UmbralShift
-from .params import ParamPoly
+from .params import ParamPoly, as_parampoly
 from .qpoly import QPoly
 from .report import VerifyReport
 
@@ -86,7 +86,7 @@ def element_to_json(a: Element) -> list[dict[str, Any]]:
             "monomial": [
                 {"gen": index, "exp": exponent_to_json(e)} for index, e in mono.powers
             ],
-            "coeff": parampoly_to_json(coeff),
+            "coeff": parampoly_to_json(as_parampoly(coeff)),
         }
         for mono, coeff in a.sorted_terms()
     ]

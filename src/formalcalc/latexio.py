@@ -72,6 +72,17 @@ def aligned(rows: Iterable[str]) -> str:
     return _environment("aligned", rows)
 
 
+# LaTeX's special characters, each as it is written inside \text{...}
+_TEXT_ESCAPES = str.maketrans({c: "\\" + c for c in "{}_&%$#"} | {
+    "\\": r"\textbackslash{}", "^": r"\textasciicircum{}", "~": r"\textasciitilde{}",
+})
+
+
+def text(body: str) -> str:
+    """Plain text as a math-mode fragment, its special characters escaped."""
+    return f"\\text{{{body.translate(_TEXT_ESCAPES)}}}"
+
+
 def display(body: str) -> str:
     """Wrap a fragment in display-math delimiters."""
     return f"\\[\n{body}\n\\]"

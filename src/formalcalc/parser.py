@@ -30,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Mapping
 
 from .algebra import Element, Exponent
 from .faadibruno import FdbPoly
@@ -48,6 +49,9 @@ _TOKEN_RE = re.compile(
 # The parser and the conversions below recurse once per nesting level, so the
 # cap keeps them well inside Python's default recursion limit of 1000.
 MAX_NESTING = 100
+
+# the generators written as named functions of x, by tower index
+_FUNCTIONS = {"log": 1, "exp": -1}
 
 
 class ParseError(ValueError):
@@ -85,32 +89,15 @@ def _tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------- syntax tree
 
 @dataclass(frozen=True)
-class Num:
-    value: Fraction
-    column: int = 0
+class Leaf:
+    """A number, parameter, generator or composite-derivative symbol.
 
+    ``kind`` is one of ``number`` (``value`` a Fraction), ``param`` (a
+    name), ``gen`` (a tower index), ``ysym`` or ``xsym`` (a symbol index).
+    """
 
-@dataclass(frozen=True)
-class Param:
-    name: str
-    column: int = 0
-
-
-@dataclass(frozen=True)
-class Gen:
-    index: int
-    column: int = 0
-
-
-@dataclass(frozen=True)
-class OuterSym:
-    index: int
-    column: int = 0
-
-
-@dataclass(frozen=True)
-class InnerSym:
-    index: int
+    kind: str
+    value: Fraction | str | int
     column: int = 0
 
 
@@ -128,7 +115,7 @@ class BinOp:
     column: int = 0
 
 
-Node = Num | Param | Gen | OuterSym | InnerSym | Neg | BinOp
+Node = Leaf | Neg | BinOp
 
 
 class _Parser:
@@ -189,42 +176,32 @@ class _Parser:
             return BinOp("^", base, self.parse_unary(), tok.column)
         return base
 
-    def _generator_call(self, index: int, column: int) -> Node:
-        self.expect("(")
-        inner = self.peek()
-        if inner.kind != "name" or inner.text != "x":
-            raise ParseError(
-                "generators are functions of x only", inner.column
-            )
-        self.advance()
-        self.expect(")")
-        return Gen(index, column)
-
     def parse_atom(self) -> Node:
         tok = self.advance()
         if tok.kind == "number":
-            if "/" in tok.text:
-                num, den = tok.text.split("/")
-                if int(den) == 0:
-                    raise ParseError("zero denominator", tok.column)
-                return Num(Fraction(int(num), int(den)), tok.column)
-            return Num(Fraction(int(tok.text)), tok.column)
-        if tok.kind == "lgen":
-            return self._generator_call(int(tok.text[2:]), tok.column)
-        if tok.kind == "ysym":
-            return OuterSym(int(tok.text[2:]), tok.column)
-        if tok.kind == "xsym":
+            num, _, den = tok.text.partition("/")
+            if den and int(den) == 0:
+                raise ParseError("zero denominator", tok.column)
+            return Leaf("number", Fraction(int(num), int(den or 1)), tok.column)
+        if tok.kind == "lgen" or tok.text in _FUNCTIONS:
+            index = _FUNCTIONS[tok.text] if tok.kind == "name" else int(tok.text[2:])
+            self.expect("(")
+            inner = self.peek()
+            if inner.kind != "name" or inner.text != "x":
+                raise ParseError(
+                    "generators are functions of x only", inner.column
+                )
+            self.advance()
+            self.expect(")")
+            return Leaf("gen", index, tok.column)
+        if tok.kind in ("ysym", "xsym"):
             index = int(tok.text[2:])
-            if index < 1:
+            if index < 1 and tok.kind == "xsym":
                 raise ParseError("inner symbols are indexed from 1", tok.column)
-            return InnerSym(index, tok.column)
+            return Leaf(tok.kind, index, tok.column)
         if tok.kind == "name":
-            if tok.text == "log":
-                return self._generator_call(1, tok.column)
-            if tok.text == "exp":
-                return self._generator_call(-1, tok.column)
             if tok.text == "x":
-                return Gen(0, tok.column)
+                return Leaf("gen", 0, tok.column)
             if tok.text == "y":
                 raise ParseError(
                     "the name 'y' is reserved for the series variable", tok.column
@@ -232,7 +209,7 @@ class _Parser:
             follow = self.peek()
             if follow.kind == "op" and follow.text == "(":
                 raise ParseError(f"unknown function {tok.text!r}", tok.column)
-            return Param(tok.text, tok.column)
+            return Leaf("param", tok.text, tok.column)
         if tok.kind == "op" and tok.text == "(":
             node = self.parse_expr()
             self.expect(")")
@@ -253,51 +230,50 @@ def parse(text: str) -> Node:
 
 # ------------------------------------------------------------- conversions
 
-def _fold_chain(node: BinOp, convert, combine):
-    """Convert a left-deep chain of ``+``, ``-`` and ``*`` links in a loop.
+def _fold(node: Node, leaves: Mapping[str, Callable], refused: str, power: Callable, times=None):
+    """Evaluate a syntax tree with the handlers of one target.
 
-    An n-term sum or product parses to a tree n levels deep; walking it
-    here keeps recursion to the nesting depth, which the parser caps.
-    ``combine(link, left, right)`` applies one link to converted operands.
+    ``leaves`` maps a leaf kind to the function that evaluates its value;
+    any other leaf is a ParseError with the message ``refused``.
+    ``power(node, fold)`` evaluates a ``^`` node and ``times(node, left,
+    right)``, if given, a ``*`` link.  A left-deep chain of ``+``, ``-`` and
+    ``*`` links (an n-term sum parses n levels deep) is walked in a loop, so
+    recursion stays within the nesting depth, which the parser caps.
     """
-    links = []
-    while isinstance(node, BinOp) and node.op != "^":
-        links.append(node)
-        node = node.left
-    out = convert(node)
-    for link in reversed(links):
-        out = combine(link, out, convert(link.right))
-    return out
+
+    def fold(node: Node):
+        if isinstance(node, Leaf):
+            make = leaves.get(node.kind)
+            if make is None:
+                raise ParseError(refused, node.column)
+            return make(node.value)
+        if isinstance(node, Neg):
+            return -fold(node.operand)
+        if node.op == "^":
+            return power(node, fold)
+        links = []
+        while isinstance(node, BinOp) and node.op != "^":
+            links.append(node)
+            node = node.left
+        out = fold(node)
+        for link in reversed(links):
+            right = fold(link.right)
+            if link.op == "+":
+                out = out + right
+            elif link.op == "-":
+                out = out - right
+            else:
+                out = out * right if times is None else times(link, out, right)
+        return out
+
+    return fold(node)
 
 
-def _arith(node: BinOp, left, right):
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    return left * right
+def _no_power(node: BinOp, fold) -> Exponent:
+    raise ParseError("nested powers cannot appear in an exponent", node.column)
 
 
-def to_exponent(node: Node) -> Exponent:
-    """Fold a syntax tree into an affine exponent, or reject it."""
-    if isinstance(node, Num):
-        return Exponent(node.value)
-    if isinstance(node, Param):
-        return Exponent.param(node.name)
-    if isinstance(node, Neg):
-        return -to_exponent(node.operand)
-    if isinstance(node, BinOp) and node.op == "^":
-        raise ParseError("nested powers cannot appear in an exponent", node.column)
-    if isinstance(node, BinOp):
-        return _fold_chain(node, to_exponent, _exponent_op)
-    raise ParseError(
-        "exponents must be affine in the parameters", getattr(node, "column", 1)
-    )
-
-
-def _exponent_op(node: BinOp, left: Exponent, right: Exponent) -> Exponent:
-    if node.op != "*":
-        return _arith(node, left, right)
+def _exponent_times(node: BinOp, left: Exponent, right: Exponent) -> Exponent:
     for scalar, other in ((left, right), (right, left)):
         if scalar.is_constant:
             if other.linear and scalar.const.denominator != 1:
@@ -311,70 +287,62 @@ def _exponent_op(node: BinOp, left: Exponent, right: Exponent) -> Exponent:
     )
 
 
-def to_element(node: Node) -> Element:
-    """Evaluate a syntax tree in the generator algebra."""
-    if isinstance(node, Num):
-        return Element.const(node.value)
-    if isinstance(node, Param):
-        return Element.const(ParamPoly.param(node.name))
-    if isinstance(node, Gen):
-        return Element.gen(node.index)
-    if isinstance(node, (OuterSym, InnerSym)):
+def to_exponent(node: Node) -> Exponent:
+    """Fold a syntax tree into an affine exponent, or reject it."""
+    return _fold(
+        node,
+        {"number": Exponent, "param": Exponent.param},
+        "exponents must be affine in the parameters",
+        _no_power,
+        _exponent_times,
+    )
+
+
+def _element_power(node: BinOp, fold) -> Element:
+    exponent = to_exponent(node.right)
+    base = node.left
+    if isinstance(base, Leaf) and base.kind == "gen":
+        return Element.gen(base.value, exponent)
+    value = fold(base)
+    k = exponent.as_integer()
+    if k is None or k < 0:
         raise ParseError(
-            "the composite-derivative symbols y_i/x_j do not live in the "
-            "generator algebra",
+            "only generators may carry symbolic, fractional, or "
+            "negative exponents",
             node.column,
         )
-    if isinstance(node, Neg):
-        return -to_element(node.operand)
-    if isinstance(node, BinOp):
-        if node.op == "^":
-            exponent = to_exponent(node.right)
-            if isinstance(node.left, Gen):
-                return Element.gen(node.left.index, exponent)
-            base = to_element(node.left)
-            k = exponent.as_integer()
-            if k is None or k < 0:
-                raise ParseError(
-                    "only generators may carry symbolic, fractional, or "
-                    "negative exponents",
-                    node.column,
-                )
-            return base**k
-        return _fold_chain(node, to_element, _arith)
-    raise ParseError("unsupported expression", getattr(node, "column", 1))
+    return value**k
+
+
+def to_element(node: Node) -> Element:
+    """Evaluate a syntax tree in the generator algebra."""
+    return _fold(
+        node,
+        {
+            "number": Element.const,
+            "param": lambda name: Element.const(ParamPoly.param(name)),
+            "gen": Element.gen,
+        },
+        "the composite-derivative symbols y_i/x_j do not live in the generator algebra",
+        _element_power,
+    )
+
+
+def _fdb_power(node: BinOp, fold) -> FdbPoly:
+    k = to_exponent(node.right).as_integer()
+    if k is None or k < 0:
+        raise ParseError("exponents here must be nonnegative integers", node.right.column)
+    return fold(node.left) ** k
 
 
 def to_fdb(node: Node) -> FdbPoly:
     """Evaluate a syntax tree in the composite-derivative alphabet."""
-    if isinstance(node, Num):
-        return FdbPoly.const(node.value)
-    if isinstance(node, OuterSym):
-        return FdbPoly.outer_symbol(node.index)
-    if isinstance(node, InnerSym):
-        return FdbPoly.inner_symbol(node.index)
-    if isinstance(node, (Gen, Param)):
-        raise ParseError(
-            "only y_i, x_j, and rationals may appear here", node.column
-        )
-    if isinstance(node, Neg):
-        return -to_fdb(node.operand)
-    if isinstance(node, BinOp):
-        if node.op == "^":
-            right = to_fdb_exponent(node.right)
-            return to_fdb(node.left) ** right
-        return _fold_chain(node, to_fdb, _arith)
-    raise ParseError("unsupported expression", getattr(node, "column", 1))
-
-
-def to_fdb_exponent(node: Node) -> int:
-    e = to_exponent(node)
-    k = e.as_integer()
-    if k is None or k < 0:
-        raise ParseError(
-            "exponents here must be nonnegative integers", getattr(node, "column", 1)
-        )
-    return k
+    return _fold(
+        node,
+        {"number": FdbPoly.const, "ysym": FdbPoly.outer_symbol, "xsym": FdbPoly.inner_symbol},
+        "only y_i, x_j, and rationals may appear here",
+        _fdb_power,
+    )
 
 
 def parse_element(text: str) -> Element:

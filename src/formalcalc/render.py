@@ -152,7 +152,7 @@ def monomial(style: Style, m) -> str:
 def _element_terms(style: Style, a, ypower: int) -> Iterator[Term]:
     """The terms of an element, each times y^ypower."""
     y = [power(style, "y", ypower)] if ypower else []
-    for mono, coeff in a._sorted_raw():
+    for mono, coeff in a.sorted_terms():
         if isinstance(coeff, (int, Fraction)):
             c, head = coeff, []
         else:

@@ -1,8 +1,9 @@
-"""Result record for the identity-sweep checks."""
+"""Result record for the identity-sweep checks, and the one sweep runner."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -22,3 +23,13 @@ class VerifyReport:
         if self.passed:
             return f"{self.check}: pass ({self.cases} cases)"
         return f"{self.check}: FAIL after {self.cases} cases ({self.counterexample})"
+
+
+def sweep(check: str, outcomes: Iterable[str | None]) -> VerifyReport:
+    """Run the sweep ``check``: each outcome is one case, None if it holds, else its
+    counterexample.  Counts the cases and stops at the first counterexample."""
+    cases = 0
+    for cases, failure in enumerate(outcomes, 1):
+        if failure is not None:
+            return VerifyReport(check, False, cases, failure)
+    return VerifyReport(check, True, cases)

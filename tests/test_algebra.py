@@ -53,7 +53,7 @@ def test_every_route_returns_the_interned_exponent():
     assert Exponent.param("r", 2, 1).substitute("r", 1) is Exponent.of(3)
     assert (r1 - r1) is Exponent.of(0) is Exponent()
     assert parse_element("x^(r + 2)") == Element.gen(0, r2)
-    (mono, _), = parse_element("x^(2 + r)").raw_items()
+    (mono, _), = parse_element("x^(2 + r)").items()
     assert mono.exponent_of(0) is r2
     assert jsonio.exponent_from_json(jsonio.exponent_to_json(r2)) is r2
     rng = Random(7)
@@ -80,7 +80,7 @@ def _exponents(value):
     if isinstance(value, Monomial):
         return [e for _, e in value.powers]
     if isinstance(value, Element):
-        return [e for mono, _ in value.raw_items() for e in _exponents(mono)]
+        return [e for mono, _ in value.items() for e in _exponents(mono)]
     if isinstance(value, YSeries):
         return [e for c in value.coefficients() for e in _exponents(c)]
     return []
@@ -200,7 +200,7 @@ def test_element_strings():
 def assert_stored_coefficients(a: Element) -> None:
     """Every raw coefficient is nonzero: an int when integral, a Fraction
     when another rational, and a ParamPoly only when a parameter appears."""
-    for _, c in a.raw_items():
+    for _, c in a.items():
         assert c, a
         if isinstance(c, ParamPoly):
             assert c.parameters(), a
@@ -303,7 +303,7 @@ def test_divided_clears_numerators_and_map_keeps_values():
     s = YSeries.divided([half_x, third, Element.gen(2) * 6], 5)
     fifth = Fraction(1, 5)
     assert s.coefficients() == [half_x * fifth, third * fifth, Element.gen(2) * Fraction(3, 5)]
-    assert all(type(v) is int for n in s._num for _, v in n.raw_items())
+    assert all(type(v) is int for n in s._num for _, v in n.items())
     double = s.map(lambda c: c * Fraction(3, 2))
     assert double.coefficients() == [c * Fraction(3, 2) for c in s.coefficients()]
     for empty in (lambda: YSeries([]), lambda: YSeries.divided([])):

@@ -143,7 +143,7 @@ def test_iterated_log_forms_match_engine_and_old_route(exponent):
             assert got == engine, (n, form)
             assert got == old_iterated_log_series(n, exponent, 6, form), (n, form)
             for c in got.coefficients():
-                for mono, coeff in c.raw_items():
+                for mono, coeff in c.items():
                     assert mono == Monomial(mono.powers) and coeff, (n, form)
 
 

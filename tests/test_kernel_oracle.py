@@ -252,7 +252,7 @@ def test_stored_values_are_int_when_integral():
 
     def check_numerators(series):
         for n in series._num:
-            for _, coeff in n.raw_items():
+            for _, coeff in n.items():
                 values = [v for _, v in coeff.items()] if isinstance(coeff, ParamPoly) else [coeff]
                 assert all(type(v) is int for v in values), coeff
 
@@ -264,7 +264,7 @@ def test_stored_values_are_int_when_integral():
             check_numerators(sa)
             check_numerators(series)
             for c in series.coefficients():
-                for _, coeff in c.raw_items():
+                for _, coeff in c.items():
                     check(coeff)
     for e in (Exponent.param("r", 1, Fraction(1, 2)), Exponent.param("s", -2, Fraction(-1, 3)),
               Exponent.of(Fraction(2, 3)), Exponent.param("r")):

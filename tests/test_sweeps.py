@@ -5,7 +5,7 @@ counterexample.  Each test here plants one wrong value and pins the case
 count at the first failure and the counterexample text.
 """
 
-from formalcalc import checks, combinatorics, diffrep
+from formalcalc import checks, cli, combinatorics, diffrep, latexio
 from formalcalc.algebra import Element, YSeries
 from formalcalc.derivations import Derivation, d_dx, x_d_dx
 from formalcalc.faadibruno import ConsistencyError, compose_expansion
@@ -50,7 +50,8 @@ def test_composition_sweep_stops_at_first_failure(monkeypatch):
     report = checks.verify_composition(trials=10, max_degree=1, order=3, seed=79)
     assert report.passed is False
     assert report.cases == 4
-    assert report.counterexample == "f=[Fraction(2, 1), Fraction(-1, 1)], g=[]: planted"
+    # the polynomials print as polynomials, not as lists of Fraction reprs
+    assert report.counterexample == "f=-x + 2, g=0: planted"
 
 
 def test_intertwining_sweep_stops_at_first_failure(monkeypatch):
@@ -80,3 +81,21 @@ def test_lubell_sweep_stops_at_first_failure(monkeypatch):
     assert report.cases == 26
     assert report.counterexample == "(m;n)=(2;3): signed esym 36 != signed stirling 35"
 
+
+
+def test_failing_sweep_prints_valid_latex(monkeypatch, capsys):
+    monkeypatch.setattr(diffrep, "x_d_dx", wrong_x_d_dx)
+    argv = ["--format", "latex", "verify", "intertwine", "--max-index", "3", "--trials", "1"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().out == (
+        "\\[\n\\text{intertwine: FAIL after 11 cases "
+        "(shift(1) d/dx != (x d/dx) shift(1) on generator l\\_2)}\n\\]\n"
+    )
+
+
+def test_latex_text_escapes_every_special_character():
+    assert latexio.text("a_1^2 {x} & 50% $ #3 ~ \\") == (
+        "\\text{a\\_1\\textasciicircum{}2 \\{x\\} \\& 50\\% \\$ \\#3 "
+        "\\textasciitilde{} \\textbackslash{}}"
+    )
+    assert latexio.text("lubell: pass (36 cases)") == "\\text{lubell: pass (36 cases)}"

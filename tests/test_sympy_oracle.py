@@ -33,7 +33,7 @@ def tower(index: int, x):
 
 def to_sympy(a: Element, x=X):
     total = sympy.Integer(0)
-    for mono, coeff in a.raw_items():
+    for mono, coeff in a.items():
         term = rational(coeff)
         for index, e in mono.powers:
             term *= tower(index, x) ** rational(e.const)

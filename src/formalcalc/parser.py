@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable
 
 from .algebra import Element, Exponent
 from .faadibruno import FdbPoly
@@ -230,7 +230,7 @@ def parse(text: str) -> Node:
 
 # ------------------------------------------------------------- conversions
 
-def _fold(node: Node, leaves: Mapping[str, Callable], refused: str, power: Callable, times=None):
+def _fold(node: Node, leaves: dict, refused: str, power: Callable, times: Callable | None = None):
     """Evaluate a syntax tree with the handlers of one target.
 
     ``leaves`` maps a leaf kind to the function that evaluates its value;

@@ -11,101 +11,43 @@ and the weight-sequence shift operators they induce.
 
 Everything is exact: no floats, no tolerances — identities either hold
 structurally or the verifiers report the first counterexample.
+
+``import formalcalc`` loads no submodule: a public name imports its
+submodule on first use (PEP 562), so a command pays only for what it runs.
 """
 
-from .algebra import Element, Exponent, Monomial, YSeries, binom
-from .checks import (
-    random_element,
-    random_exponent,
-    random_qpoly,
-    verify_automorphism,
-    verify_composition,
-)
-from .combinatorics import (
-    signed_esym,
-    stirling1,
-    stirling1_by_recurrence,
-    stirling_chain,
-    stirling_rows,
-    verify_chain_product,
-    verify_lubell,
-)
-from .derivations import ClosureError, Derivation, d_dx, x_d_dx
-from .diffrep import IndexShift, lifted_exp, verify_intertwining
-from .expansions import (
-    FORMS,
-    binomial_series,
-    closed_form_series,
-    iterated_log_series,
-    log_power_series,
-    log_series,
-)
-from .faadibruno import (
-    ConsistencyError,
-    FdbPoly,
-    UmbralShift,
-    compose_expansion,
-    compose_series_direct,
-    compose_series_from_table,
-    derivative_tower,
-    substitute_weights,
-    taylor_coefficients,
-    umbral_shift,
-)
-from .params import ParamPoly
-from .parser import ParseError, parse, parse_element, parse_fdb, to_element, to_exponent
-from .report import VerifyReport
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Element",
-    "Exponent",
-    "Monomial",
-    "YSeries",
-    "ParamPoly",
-    "binom",
-    "Derivation",
-    "ClosureError",
-    "d_dx",
-    "x_d_dx",
-    "IndexShift",
-    "lifted_exp",
-    "verify_intertwining",
-    "FORMS",
-    "binomial_series",
-    "log_series",
-    "log_power_series",
-    "iterated_log_series",
-    "closed_form_series",
-    "stirling1",
-    "stirling1_by_recurrence",
-    "stirling_rows",
-    "signed_esym",
-    "stirling_chain",
-    "verify_chain_product",
-    "verify_lubell",
-    "FdbPoly",
-    "ConsistencyError",
-    "derivative_tower",
-    "taylor_coefficients",
-    "substitute_weights",
-    "compose_series_direct",
-    "compose_series_from_table",
-    "compose_expansion",
-    "UmbralShift",
+# each public name, by the submodule that defines it
+_SOURCES = {
+    "algebra": "Element Exponent Monomial YSeries binom",
+    "checks": "random_element random_exponent random_qpoly verify_automorphism verify_composition",
+    "combinatorics": "signed_esym stirling1 stirling1_by_recurrence stirling_chain stirling_rows "
+    "verify_chain_product verify_lubell",
+    "derivations": "ClosureError Derivation d_dx x_d_dx",
+    "diffrep": "IndexShift lifted_exp verify_intertwining",
+    "expansions": "FORMS binomial_series closed_form_series iterated_log_series "
+    "log_power_series log_series",
+    "faadibruno": "ConsistencyError FdbPoly UmbralShift compose_expansion compose_series_direct "
+    "compose_series_from_table derivative_tower substitute_weights taylor_coefficients "
     "umbral_shift",
-    "VerifyReport",
-    "verify_automorphism",
-    "verify_composition",
-    "random_element",
-    "random_exponent",
-    "random_qpoly",
-    "ParseError",
-    "parse",
-    "parse_element",
-    "parse_fdb",
-    "to_element",
-    "to_exponent",
-    "__version__",
-]
+    "params": "ParamPoly",
+    "parser": "ParseError parse parse_element parse_fdb to_element to_exponent",
+    "report": "VerifyReport",
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names.split()}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -16,6 +16,10 @@ quietly: with its own exit code when the command had finished, else 141.
 Diagnostics go to stderr; results to stdout.  The only
 environment knobs are NO_COLOR / FORMALCALC_COLOR, which affect coloring
 of pass/FAIL words in text output and nothing else.
+
+A command imports the formalcalc modules it runs when it runs, and the
+JSON and LaTeX writers only for their format, so start-up compiles no
+module a command does not use: ``--help`` and a usage error load none.
 """
 
 from __future__ import annotations
@@ -23,20 +27,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from importlib import import_module
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from . import jsonio, latexio, render
-from .algebra import YSeries
-from .checks import verify_automorphism, verify_composition
-from .combinatorics import stirling_rows, verify_chain_product, verify_lubell
-from .derivations import d_dx
-from .diffrep import lifted_exp, verify_intertwining
-from .expansions import closed_form_series
-from .faadibruno import taylor_coefficients, umbral_shift
-from .parser import parse_element
-from .qpoly import to_string as qpoly_str
-from .report import VerifyReport
+if TYPE_CHECKING:
+    from .algebra import YSeries
+    from .report import VerifyReport
 
 _GREEN, _RED, _RESET = "\x1b[32m", "\x1b[31m", "\x1b[0m"
 
@@ -54,6 +50,11 @@ def _color_enabled() -> bool:
     if pref in ("0", "never", "no", "off"):
         return False
     return sys.stdout.isatty()
+
+
+def _lib(module: str):
+    """The formalcalc submodule ``module``, imported on first use."""
+    return import_module(f"{__package__}.{module}")
 
 
 def _bounded(p: argparse.ArgumentParser, flag: str, least: int, **kw) -> None:
@@ -101,39 +102,42 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run an identity sweep")
     v.set_defaults(run=_run_verify)
     vsub = v.add_subparsers(dest="check", required=True)
-    # each sweep looks its verifier up by name when it runs, so a replaced one is used
+    # each sweep imports its verifier's module when it runs: a command loads only
+    # the sweep it runs, and a verifier replaced in its module is the one called
 
     p = vsub.add_parser("automorphism", help="exp(yD) multiplicativity")
     _bounded(p, "--trials", 1, default=50)
     _bounded(p, "--order", 0, default=4)
     _bounded(p, "--max-index", 0, default=3)
     p.add_argument("--seed", type=int, default=11)
-    p.set_defaults(sweep=lambda a: verify_automorphism(
+    p.set_defaults(sweep=lambda a: _lib("checks").verify_automorphism(
         trials=a.trials, order=a.order, max_index=a.max_index, seed=a.seed))
 
     p = vsub.add_parser("intertwine", help="index shift vs the two derivations")
     _bounded(p, "--max-index", 0, default=6)
     _bounded(p, "--trials", 1, default=20)
     p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(sweep=lambda a: verify_intertwining(
+    p.set_defaults(sweep=lambda a: _lib("diffrep").verify_intertwining(
         max_index=a.max_index, product_trials=a.trials, seed=a.seed))
 
     p = vsub.add_parser("lubell", help="two-index chain/Stirling/symmetric-sum equality")
     _bounded(p, "--max", 1, default=6)
     _bounded(p, "--pair-sum", 1, default=None)
-    p.set_defaults(sweep=lambda a: verify_lubell(max_n=a.max, max_pair_sum=a.pair_sum))
+    p.set_defaults(sweep=lambda a: _lib("combinatorics").verify_lubell(
+        max_n=a.max, max_pair_sum=a.pair_sum))
 
     p = vsub.add_parser("s-identity", help="chain recursion vs Stirling products")
     _bounded(p, "--max-k", 1, default=6)
     _bounded(p, "--max-n", 1, default=3)
-    p.set_defaults(sweep=lambda a: verify_chain_product(max_k=a.max_k, max_n=a.max_n))
+    p.set_defaults(sweep=lambda a: _lib("combinatorics").verify_chain_product(
+        max_k=a.max_k, max_n=a.max_n))
 
     p = vsub.add_parser("faa-di-bruno", help="dual-path composite expansion")
     _bounded(p, "--trials", 1, default=25)
     _bounded(p, "--degree", 0, default=4)
     _bounded(p, "--order", 0, default=6)
     p.add_argument("--seed", type=int, default=13)
-    p.set_defaults(sweep=lambda a: verify_composition(
+    p.set_defaults(sweep=lambda a: _lib("checks").verify_composition(
         trials=a.trials, max_degree=a.degree, order=a.order, seed=a.seed))
 
     p = sub.add_parser(
@@ -151,11 +155,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(fmt: str, text: Callable, json: Callable, latex: Callable) -> int:
-    """Print the rendering ``fmt`` names, and build only that one."""
+    """Print the rendering ``fmt`` names, and build only that one.
+
+    ``json`` and ``latex`` are called with their writer module, which is
+    imported only for its format.
+    """
     if fmt == "json":
-        print(jsonio.dumps(json()))
+        from . import jsonio
+
+        print(jsonio.dumps(json(jsonio)))
     elif fmt == "latex":
-        print(latexio.display(latex()))
+        from . import latexio
+
+        print(latexio.display(latex(latexio)))
     else:
         for line in text():  # one at a time, so a large table is never held whole
             print(line)
@@ -166,32 +178,46 @@ def _emit_series(args: argparse.Namespace, series: YSeries) -> int:
     return _emit(
         args.format,
         lambda: [str(series)],
-        lambda: jsonio.series_doc(args.command, args.expr, series),
-        lambda: latexio.latex_yseries(series),
+        lambda jsonio: jsonio.series_doc(args.command, args.expr, series),
+        lambda latexio: latexio.latex_yseries(series),
     )
 
 
 def _run_expand(args: argparse.Namespace) -> int:
-    expand = closed_form_series if args.via == "closed-form" else d_dx().exp_series
+    from .parser import parse_element
+
+    if args.via == "closed-form":
+        from .expansions import closed_form_series as expand
+    else:
+        from .derivations import d_dx
+
+        expand = d_dx().exp_series
     return _emit_series(args, expand(parse_element(args.expr), args.order))
 
 
 def _run_lift(args: argparse.Namespace) -> int:
+    from .diffrep import lifted_exp
+    from .parser import parse_element
+
     return _emit_series(args, lifted_exp(parse_element(args.expr), args.order))
 
 
 def _text_table(rows: list[list[int]]) -> Iterator[str]:
+    from . import render
+
     width = max(len(render.integer(v)) for row in rows for v in row)
     return (" ".join(render.integer(v).rjust(width) for v in row).rstrip() for row in rows)
 
 
 def _run_table(args: argparse.Namespace) -> int:
+    from .combinatorics import stirling_rows
+
     rows = stirling_rows(args.max)
     return _emit(
         args.format,
         lambda: _text_table(rows),
-        lambda: jsonio.table_doc(args.max, rows),
-        lambda: latexio.latex_table(rows),
+        lambda jsonio: jsonio.table_doc(args.max, rows),
+        lambda latexio: latexio.latex_table(rows),
     )
 
 
@@ -207,19 +233,21 @@ def _run_verify(args: argparse.Namespace) -> int:
     _emit(
         args.format,
         lambda: [_summary_line(report)],
-        lambda: jsonio.report_to_json(report),
-        lambda: latexio.text(report.summary()),
+        lambda jsonio: jsonio.report_to_json(report),
+        lambda latexio: latexio.text(report.summary()),
     )
     return 0 if report.passed else 1
 
 
 def _run_fdb(args: argparse.Namespace) -> int:
+    from .faadibruno import taylor_coefficients
+
     coeffs = taylor_coefficients(args.order)
     return _emit(
         args.format,
         lambda: (f"z^{n}: {p}" for n, p in enumerate(coeffs)),
-        lambda: jsonio.fdb_doc(args.order, coeffs),
-        lambda: latexio.aligned(
+        lambda jsonio: jsonio.fdb_doc(args.order, coeffs),
+        lambda latexio: latexio.aligned(
             f"z^{{{n}}} &: {latexio.latex_fdbpoly(p)}" for n, p in enumerate(coeffs)
         ),
     )
@@ -231,6 +259,11 @@ _WEIGHT_EXPONENT_CAP = 9999
 
 
 def _run_umbral(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
+    from .faadibruno import umbral_shift
+    from .qpoly import to_string as qpoly_str
+
     parts = [part.strip() for part in args.B.split(",") if part.strip()]
     for part in parts:  # before Fraction builds 10^exponent
         _, e, exponent = part.lower().partition("e")
@@ -247,8 +280,8 @@ def _run_umbral(args: argparse.Namespace) -> int:
     return _emit(
         args.format,
         lambda: (f"x^{k} -> {qpoly_str(img)}" for k, img in enumerate(shift.images)),
-        lambda: jsonio.umbral_doc(shift),
-        lambda: latexio.aligned(
+        lambda jsonio: jsonio.umbral_doc(shift),
+        lambda latexio: latexio.aligned(
             f"x^{{{k}}} &\\mapsto {latexio.latex_qpoly(img)}"
             for k, img in enumerate(shift.images)
         ),

@@ -12,17 +12,15 @@ operator identities on a window of generators and on random products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .algebra import Element, Monomial, YSeries
 from .derivations import d_dx, x_d_dx
 from .report import VerifyReport, sweep
 
 
-@dataclass(frozen=True)
-class IndexShift:
+class IndexShift(NamedTuple):
     """The algebra map l_n -> l_{n+offset}, applied to whole elements."""
 
     offset: int

@@ -24,10 +24,9 @@ re-verifies the defining property before returning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import qpoly, render
 from .params import Sparse, _accumulate
@@ -251,8 +250,7 @@ def compose_expansion(
     return direct
 
 
-@dataclass
-class UmbralShift:
+class UmbralShift(NamedTuple):
     """The linear operator solved from a weight sequence.
 
     ``images[k]`` is the image of x^k; every image has degree k+1 with

@@ -14,15 +14,16 @@ import json
 import re
 from decimal import Decimal
 from fractions import Fraction
-from importlib import resources
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from . import render
 from .algebra import Element, Exponent, Monomial, YSeries
-from .faadibruno import FdbPoly, UmbralShift
 from .params import ParamPoly, as_parampoly
-from .qpoly import QPoly
-from .report import VerifyReport
+
+if TYPE_CHECKING:
+    from .faadibruno import FdbPoly, UmbralShift
+    from .qpoly import QPoly
+    from .report import VerifyReport
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -139,6 +140,8 @@ def fdbpoly_to_json(p: FdbPoly) -> list[dict[str, Any]]:
 
 
 def fdbpoly_from_json(data: list[dict[str, Any]]) -> FdbPoly:
+    from .faadibruno import FdbPoly
+
     pairs = []
     for term in data:
         ys = tuple(sorted((int(i), int(e)) for i, e in term["outer"].items()))
@@ -214,6 +217,8 @@ def _chunks(doc: Any, indent: str) -> Iterator[str]:
 
 
 def load_schema() -> dict[str, Any]:
+    from importlib import resources
+
     text = (
         resources.files("formalcalc") / "schema" / "cli-output.schema.json"
     ).read_text()

@@ -9,12 +9,14 @@ superscript follows another.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from . import render
-from .algebra import Element, YSeries
-from .faadibruno import FdbPoly
-from .qpoly import QPoly
+
+if TYPE_CHECKING:
+    from .algebra import Element, YSeries
+    from .faadibruno import FdbPoly
+    from .qpoly import QPoly
 
 
 def latex_fraction(q: Fraction) -> str:

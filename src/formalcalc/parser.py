@@ -28,13 +28,15 @@ evaluated in a loop, not by recursion.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .algebra import Element, Exponent
-from .faadibruno import FdbPoly
 from .params import ParamPoly
+
+if TYPE_CHECKING:
+    from .faadibruno import FdbPoly
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -64,8 +66,7 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     column: int
@@ -88,8 +89,7 @@ def _tokenize(text: str) -> list[Token]:
 
 # ---------------------------------------------------------------- syntax tree
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     """A number, parameter, generator or composite-derivative symbol.
 
     ``kind`` is one of ``number`` (``value`` a Fraction), ``param`` (a
@@ -101,14 +101,12 @@ class Leaf:
     column: int = 0
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: "Node"
     column: int = 0
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # one of + - * ^
     left: "Node"
     right: "Node"
@@ -180,9 +178,11 @@ class _Parser:
         tok = self.advance()
         if tok.kind == "number":
             num, _, den = tok.text.partition("/")
-            if den and int(den) == 0:
+            # Decimal reads digits exactly at any length; int() refuses more than 4,300
+            numerator, denominator = int(Decimal(num)), int(Decimal(den or 1))
+            if denominator == 0:
                 raise ParseError("zero denominator", tok.column)
-            return Leaf("number", Fraction(int(num), int(den or 1)), tok.column)
+            return Leaf("number", Fraction(numerator, denominator), tok.column)
         if tok.kind == "lgen" or tok.text in _FUNCTIONS:
             index = _FUNCTIONS[tok.text] if tok.kind == "name" else int(tok.text[2:])
             self.expect("(")
@@ -337,6 +337,8 @@ def _fdb_power(node: BinOp, fold) -> FdbPoly:
 
 def to_fdb(node: Node) -> FdbPoly:
     """Evaluate a syntax tree in the composite-derivative alphabet."""
+    from .faadibruno import FdbPoly
+
     return _fold(
         node,
         {"number": FdbPoly.const, "ysym": FdbPoly.outer_symbol, "xsym": FdbPoly.inner_symbol},

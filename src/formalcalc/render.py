@@ -15,16 +15,14 @@ goes through ``integer``, which is exact at any size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 Term = tuple[int, str]  # (sign, body)
 
 
-@dataclass(frozen=True)
-class Style:
+class Style(NamedTuple):
     """The tokens of one output format."""
 
     number: Callable[[int | Fraction], str]  # a nonnegative rational

@@ -229,6 +229,13 @@ def test_weight_exponent_cap(capsys):
     assert cli.main(["umbral", "--B", "1e9999,1e-0_9999", "--depth", "2"]) == 0
 
 
+def test_expand_reads_a_literal_past_the_int_digit_limit():
+    ones = "1" * 4400
+    result = run_cli("expand", "--expr", f"{ones}*x", "--order", "1")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == f"{ones}*x + {ones}*y\n"
+
+
 def test_closed_form_refuses_exponential_tower():
     result = run_cli("expand", "--expr", "exp(x)", "--order", "2", "--via", "closed-form")
     assert result.returncode == 2
@@ -238,7 +245,7 @@ def test_closed_form_refuses_exponential_tower():
 def test_verify_failure_exits_1(monkeypatch, capsys):
     """Exit code 1 is reserved for a sweep that actually found a counterexample."""
     failing = VerifyReport("lubell", False, 7, "fabricated for the exit-code path")
-    monkeypatch.setattr(cli, "verify_lubell", lambda **kw: failing)
+    monkeypatch.setattr("formalcalc.combinatorics.verify_lubell", lambda **kw: failing)
     code = cli.main(["verify", "lubell"])
     assert code == 1
     out = capsys.readouterr().out

@@ -125,6 +125,15 @@ def test_nonconstant_base_needs_plain_power():
         parse_element("(x + 1)^r")
 
 
+def test_number_literals_of_any_length():
+    """A coefficient past int()'s 4,300-digit limit prints in full and parses back."""
+    big = Element.const(10**4400) * Element.gen(0)
+    assert parse_element(str(big)) == big
+    assert parse_element("1" * 4400 + "/" + "2" * 4400) == Element.const(Fraction(1, 2))
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_element("1/" + "0" * 4400)
+
+
 def test_roundtrip_random_elements():
     """print -> parse is the identity on canonical output."""
     rng = Random(40)

@@ -16,7 +16,7 @@ structurally or the verifiers report the first counterexample.
 submodule on first use (PEP 562), so a command pays only for what it runs.
 """
 
-from importlib import import_module
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,7 @@ def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{module}"), name)
+    return getattr(_import_module(f"{__name__}.{module}"), name)
 
 
 def __dir__() -> list[str]:

@@ -55,7 +55,7 @@ def test_every_public_name_resolves_and_star_binds_it():
 CASES = {
     "help": (["--help"], None),
     "malformed": (["expand", "--order", "two"], None),
-    "unknown-command": (["frobnicate"], None),
+    "below-minimum": (["expand", "--expr", "x", "--order", "-1"], None),
     "stirling-text": (["stirling-table", "--max", "5"], {"algebra", "parser"}),
     "expand-engine": (
         ["expand", "--expr", "log(x)^2", "--order", "3"],

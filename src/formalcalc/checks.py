@@ -66,9 +66,9 @@ def random_element(
 def random_qpoly(rng: Random, max_degree: int, allow_zero: bool = True) -> QPoly:
     """Dense rational polynomial with small integer coefficients."""
     degree = rng.randrange(0, max_degree + 1)
-    coeffs = [Fraction(rng.randrange(-3, 4)) for _ in range(degree + 1)]
+    coeffs = [rng.randrange(-3, 4) for _ in range(degree + 1)]
     if not allow_zero and not any(coeffs):
-        coeffs[rng.randrange(len(coeffs))] = Fraction(1)
+        coeffs[rng.randrange(len(coeffs))] = 1
     return qpoly.normalize(coeffs)
 
 

@@ -29,7 +29,7 @@ from math import comb, factorial
 from typing import NamedTuple, Sequence
 
 from . import qpoly, render
-from .params import Sparse, _accumulate
+from .params import Sparse, _accumulate, canonical_coeff
 from .qpoly import QPoly
 
 # A symbol-power table: ((index, exponent), ...) sorted, exponents >= 1.
@@ -117,8 +117,8 @@ class FdbPoly(Sparse):
         symbols each monomial carried.  Referencing x_i beyond the end of
         the sequence is an error (the substitution is undefined there).
         """
-        w = [Fraction(v) for v in weights]
-        out: list[Fraction] = []
+        w = [canonical_coeff(v) for v in weights]
+        out: QPoly = []
         for (_ys, xs), c in self._terms.items():
             total = c
             deg = 0
@@ -130,7 +130,7 @@ class FdbPoly(Sparse):
                 total *= w[j - 1] ** e
                 deg += e
             while len(out) <= deg:
-                out.append(Fraction(0))
+                out.append(0)
             out[deg] += total
         return qpoly.normalize(out)
 
@@ -217,15 +217,21 @@ def compose_series_from_table(
     for _ in range(order):
         inner.append(qpoly.derivative(inner[-1]))
 
+    # powers[i][e] = base_i^e, each built once from the power below it
+    outer_powers = [[[1], p] for p in outer_at_g]
+    inner_powers = [[[1], p] for p in inner]
+
     out: list[QPoly] = []
     for n, dpoly in enumerate(derivative_tower(order)):
         acc: QPoly = []
         for (ys, xs), c in dpoly.items():
             prod = qpoly.const(c)
-            for i, e in ys:
-                prod = qpoly.mul(prod, qpoly.power(outer_at_g[i], e))
-            for j, e in xs:
-                prod = qpoly.mul(prod, qpoly.power(inner[j], e))
+            for powers, key in ((outer_powers, ys), (inner_powers, xs)):
+                for i, e in key:
+                    row = powers[i]
+                    while len(row) <= e:
+                        row.append(qpoly.mul(row[-1], row[1]))
+                    prod = qpoly.mul(prod, row[e])
             acc = qpoly.add(acc, prod)
         out.append(qpoly.scale(acc, Fraction(1, factorial(n))))
     return out
@@ -309,7 +315,7 @@ def umbral_shift(weights: Sequence[Fraction | int], depth: int) -> UmbralShift:
         for k in range(m - 1):
             residue = qpoly.sub(residue, qpoly.scale(images[k], qpoly.coeff(prev, k)))
         lead = qpoly.coeff(prev, m - 1)  # = w[0]^(m-1), nonzero
-        images.append(qpoly.scale(residue, 1 / lead))
+        images.append(qpoly.scale(residue, Fraction(1) / lead))
 
     shift = UmbralShift(tuple(w), images)
     state: QPoly = qpoly.const(1)

@@ -125,7 +125,9 @@ def qpoly_to_json(p: QPoly) -> list[str]:
 
 
 def qpoly_from_json(data: list[str]) -> QPoly:
-    return [fraction_from_json(c) for c in data]
+    from .qpoly import from_coeffs
+
+    return from_coeffs(fraction_from_json(c) for c in data)
 
 
 def fdbpoly_to_json(p: FdbPoly) -> list[dict[str, Any]]:

@@ -440,9 +440,9 @@ def canonical_coeff(value: object) -> Coeff:
     """
     if type(value) is int:
         return value
-    if isinstance(value, ParamPoly):
-        return value.demoted()
     if type(value) is not Fraction:
+        if isinstance(value, ParamPoly):
+            return value.demoted()
         value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 

@@ -184,7 +184,7 @@ class _Parser:
                 raise ParseError("zero denominator", tok.column)
             return Leaf("number", Fraction(numerator, denominator), tok.column)
         if tok.kind == "lgen" or tok.text in _FUNCTIONS:
-            index = _FUNCTIONS[tok.text] if tok.kind == "name" else int(tok.text[2:])
+            index = _FUNCTIONS[tok.text] if tok.kind == "name" else _index(tok)
             self.expect("(")
             inner = self.peek()
             if inner.kind != "name" or inner.text != "x":
@@ -195,7 +195,7 @@ class _Parser:
             self.expect(")")
             return Leaf("gen", index, tok.column)
         if tok.kind in ("ysym", "xsym"):
-            index = int(tok.text[2:])
+            index = _index(tok)
             if index < 1 and tok.kind == "xsym":
                 raise ParseError("inner symbols are indexed from 1", tok.column)
             return Leaf(tok.kind, index, tok.column)
@@ -216,6 +216,14 @@ class _Parser:
             return node
         shown = tok.text if tok.kind != "end" else "end of input"
         raise ParseError(f"unexpected {shown!r}", tok.column)
+
+
+def _index(tok: Token) -> int:
+    """The index of an ``l_<k>``, ``y_<i>`` or ``x_<j>`` token."""
+    try:
+        return int(tok.text[2:])
+    except ValueError:  # int() refuses more than 4,300 digits
+        raise ParseError("index has too many digits", tok.column) from None
 
 
 def parse(text: str) -> Node:

@@ -4,6 +4,12 @@
 empty list, and normalized lists carry no trailing zeros, so equality of
 normalized lists is polynomial equality.  Used by the composite-derivative
 machinery, where everything is a plain polynomial in one variable.
+
+Coefficients are held in the package's stored form (``params.canonical_coeff``):
+an ``int`` when the value is integral and a ``Fraction`` otherwise, never an
+integral ``Fraction`` and never a ``float``.  So integer inputs keep the
+arithmetic in integers, and a ``Fraction`` appears only where a value has
+a denominator.  Every function returns stored form.
 """
 
 from __future__ import annotations
@@ -12,59 +18,65 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import render
+from .params import canonical_coeff
 
-QPoly = list[Fraction]
+QPoly = list[int | Fraction]
 
 
-def normalize(p: Sequence[Fraction]) -> QPoly:
-    out = list(p)
+def normalize(p: Sequence[int | Fraction]) -> QPoly:
+    """Stored form: each coefficient demoted or made exact, trailing zeros dropped."""
+    out = [v if type(v) is int else canonical_coeff(v) for v in p]
     while out and not out[-1]:
         out.pop()
     return out
 
 
 def from_coeffs(values: Iterable[Fraction | int]) -> QPoly:
-    return normalize([Fraction(v) for v in values])
+    return normalize(values)
 
 
 def const(c: Fraction | int) -> QPoly:
-    return normalize([Fraction(c)])
+    return normalize([c])
 
 
 def x_power(k: int) -> QPoly:
-    return [Fraction(0)] * k + [Fraction(1)]
+    return [0] * k + [1]
 
 
-def coeff(p: Sequence[Fraction], k: int) -> Fraction:
-    return p[k] if 0 <= k < len(p) else Fraction(0)
+def coeff(p: Sequence[int | Fraction], k: int) -> int | Fraction:
+    return p[k] if 0 <= k < len(p) else 0
 
 
-def degree(p: Sequence[Fraction]) -> int:
+def degree(p: Sequence[int | Fraction]) -> int:
     return len(normalize(p)) - 1  # -1 for the zero polynomial
 
 
-def add(a: Sequence[Fraction], b: Sequence[Fraction]) -> QPoly:
-    n = max(len(a), len(b))
-    return normalize([coeff(a, k) + coeff(b, k) for k in range(n)])
+def add(a: Sequence[int | Fraction], b: Sequence[int | Fraction]) -> QPoly:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, v in enumerate(b):
+        out[k] += v
+    return normalize(out)
 
 
-def neg(a: Sequence[Fraction]) -> QPoly:
+def neg(a: Sequence[int | Fraction]) -> QPoly:
     return [-v for v in a]
 
 
-def sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> QPoly:
+def sub(a: Sequence[int | Fraction], b: Sequence[int | Fraction]) -> QPoly:
     return add(a, neg(b))
 
 
-def scale(a: Sequence[Fraction], c: Fraction | int) -> QPoly:
-    c = Fraction(c)
+def scale(a: Sequence[int | Fraction], c: Fraction | int) -> QPoly:
+    c = canonical_coeff(c)
     return normalize([v * c for v in a])
 
 
-def mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> QPoly:
+def mul(a: Sequence[int | Fraction], b: Sequence[int | Fraction]) -> QPoly:
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out: list[int | Fraction] = [0] * (len(a) + len(b) - 1)
     for i, va in enumerate(a):
         if not va:
             continue
@@ -73,7 +85,7 @@ def mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> QPoly:
     return normalize(out)
 
 
-def power(a: Sequence[Fraction], k: int) -> QPoly:
+def power(a: Sequence[int | Fraction], k: int) -> QPoly:
     if k < 0:
         raise ValueError("power must be nonnegative")
     out = const(1)
@@ -82,11 +94,11 @@ def power(a: Sequence[Fraction], k: int) -> QPoly:
     return out
 
 
-def derivative(a: Sequence[Fraction]) -> QPoly:
+def derivative(a: Sequence[int | Fraction]) -> QPoly:
     return normalize([k * v for k, v in enumerate(a)][1:])
 
 
-def compose(outer: Sequence[Fraction], inner: Sequence[Fraction]) -> QPoly:
+def compose(outer: Sequence[int | Fraction], inner: Sequence[int | Fraction]) -> QPoly:
     """outer(inner(x)) by Horner's scheme."""
     out: QPoly = []
     for c in reversed(list(outer)):
@@ -94,13 +106,13 @@ def compose(outer: Sequence[Fraction], inner: Sequence[Fraction]) -> QPoly:
     return out
 
 
-def eval_at(p: Sequence[Fraction], value: Fraction | int) -> Fraction:
-    value = Fraction(value)
-    out = Fraction(0)
+def eval_at(p: Sequence[int | Fraction], value: Fraction | int) -> int | Fraction:
+    value = canonical_coeff(value)
+    out: int | Fraction = 0
     for c in reversed(list(p)):
         out = out * value + c
-    return out
+    return canonical_coeff(out)
 
 
-def to_string(p: Sequence[Fraction], var: str = "x") -> str:
+def to_string(p: Sequence[int | Fraction], var: str = "x") -> str:
     return render.qpoly(render.TEXT, p, var)

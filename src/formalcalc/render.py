@@ -182,7 +182,7 @@ def fdbpoly(style: Style, p) -> str:
     )
 
 
-def qpoly(style: Style, p: Sequence[Fraction], var: str = "x") -> str:
+def qpoly(style: Style, p: Sequence[int | Fraction], var: str = "x") -> str:
     """A dense polynomial [a0, a1, ...] in ``var``, highest power first."""
     return join(
         term(style, p[k], [power(style, var, k)] if k else [])

@@ -236,6 +236,12 @@ def test_expand_reads_a_literal_past_the_int_digit_limit():
     assert result.stdout == f"{ones}*x + {ones}*y\n"
 
 
+def test_index_past_the_int_digit_limit_is_a_usage_error():
+    result = run_cli("expand", "--expr", "l_" + "1" * 4400 + "(x)", "--order", "1")
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == "formalcalc: line 1, column 1: index has too many digits\n"
+
+
 def test_closed_form_refuses_exponential_tower():
     result = run_cli("expand", "--expr", "exp(x)", "--order", "2", "--via", "closed-form")
     assert result.returncode == 2

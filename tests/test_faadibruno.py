@@ -7,7 +7,9 @@ import pytest
 
 from formalcalc import qpoly
 from formalcalc.checks import random_qpoly, verify_composition
+from formalcalc import faadibruno
 from formalcalc.faadibruno import (
+    ConsistencyError,
     FdbPoly,
     compose_expansion,
     compose_series_direct,
@@ -211,3 +213,19 @@ def test_compose_expansion_returns_common_value():
     series = compose_expansion(f, g, 4)
     assert series == compose_series_direct(f, g, 4)
     assert series == compose_series_from_table(f, g, 4)
+
+
+def test_compose_expansion_catches_a_wrong_table_route(monkeypatch):
+    """The two routes run apart: a one-coefficient slip in the table route is caught."""
+    table_route = faadibruno.compose_series_from_table
+
+    def shifted(f, g, order):
+        series = table_route(f, g, order)
+        series[2] = qpoly.add(series[2], qpoly.x_power(1))
+        return series
+
+    f = qpoly.from_coeffs([1, 2, 0, 1])
+    g = qpoly.from_coeffs([0, 1, Fraction(1, 2)])
+    monkeypatch.setattr(faadibruno, "compose_series_from_table", shifted)
+    with pytest.raises(ConsistencyError, match=r"composition routes differ at y\^2"):
+        compose_expansion(f, g, 4)

@@ -169,6 +169,8 @@ REJECTIONS = [
     ("element", "x $ 1", "unexpected character '$'", 3),
     ("element", "l_2(x", "expected ')', found 'end of input'", 6),
     ("element", "(" * 101 + "x" + ")" * 101, "expression nested deeper than 100 levels", 102),
+    pytest.param("element", "l_" + "1" * 4400 + "(x)", "index has too many digits", 1,
+                 id="element-index-past-the-int-digit-limit"),
     ("element", "l_2(r)", "generators are functions of x only", 5),
     ("element", "3/0", "zero denominator", 1),
     ("fdb", "x_0", "inner symbols are indexed from 1", 1),

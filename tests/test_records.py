@@ -82,9 +82,12 @@ def test_umbral_shift_record():
     shift = umbral_shift([1, 2], 2)
     assert repr(shift) == (
         "UmbralShift(weights=(Fraction(1, 1), Fraction(2, 1)), "
-        "images=[[Fraction(0, 1), Fraction(1, 1)], "
-        "[Fraction(0, 1), Fraction(2, 1), Fraction(1, 1)]])"
+        "images=[[0, 1], [0, 2, 1]])"
     )
+    assert shift.images == [
+        [Fraction(0), Fraction(1)],
+        [Fraction(0), Fraction(2), Fraction(1)],
+    ]
     assert shift == UmbralShift((Fraction(1), Fraction(2)), shift.images)
     assert shift != umbral_shift([1, 3], 2)
     assert shift != umbral_shift([1, 2], 3)

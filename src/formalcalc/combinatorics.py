@@ -36,14 +36,27 @@ _CHAIN: dict[tuple[int, ...], int] = {}
 
 
 def _compositions(total: int, parts: int, floor: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``parts`` (>= 1) integers, each >= floor, summing to ``total``."""
-    if parts == 1:
-        if total >= floor:
-            yield (total,)
+    """All tuples of ``parts`` (>= 1) integers, each >= floor, summing to ``total``.
+
+    In lexicographic order, without recursion (a tower index n asks for n+1
+    parts): the next tuple moves one unit from the rightmost entry above
+    ``floor``, other than the first, to its left neighbour, and the rest of
+    that entry to the last place.
+    """
+    if total < parts * floor:
         return
-    for first in range(floor, total - (parts - 1) * floor + 1):
-        for rest in _compositions(total - first, parts - 1, floor):
-            yield (first,) + rest
+    js = [floor] * (parts - 1) + [total - (parts - 1) * floor]
+    while True:
+        yield tuple(js)
+        j = parts - 1
+        while j > 0 and js[j] == floor:
+            j -= 1
+        if j == 0:
+            return
+        rest = js[j] - 1
+        js[j] = floor
+        js[j - 1] += 1
+        js[-1] = rest
 
 
 def stirling1(k: int, j: int) -> int:
@@ -157,13 +170,27 @@ def stirling_chain(chain: Sequence[int]) -> int:
 
 
 def _descending_chains(length: int, max_top: int, floor: int) -> Iterator[tuple[int, ...]]:
-    """All (j_0 >= j_1 >= ... >= j_n >= floor) with j_0 <= max_top, n+1 = length."""
+    """All (j_0 >= j_1 >= ... >= j_n >= floor) with j_0 <= max_top, n+1 = length.
+
+    In lexicographic order, without recursion: the next tuple raises the
+    last entry below its left neighbour (or below ``max_top``, for j_0) and
+    sets every entry after it to ``floor``.
+    """
     if length == 0:
         yield ()
         return
-    for top in range(floor, max_top + 1):
-        for rest in _descending_chains(length - 1, top, floor):
-            yield (top,) + rest
+    if max_top < floor:
+        return
+    js = [floor] * length
+    while True:
+        yield tuple(js)
+        i = length - 1
+        while i > 0 and js[i] == js[i - 1]:
+            i -= 1
+        if i == 0 and js[0] == max_top:
+            return
+        js[i] += 1
+        js[i + 1 :] = [floor] * (length - 1 - i)
 
 
 def verify_chain_product(max_k: int = 6, max_n: int = 3) -> VerifyReport:

@@ -20,11 +20,23 @@ algebra itself.
 
 That these agree (and agree with the engine) is the point of the
 combinatorial identities; the tests treat any disagreement as an error.
+
+Only falling(e, j_n) and the top power l_n^(e - j_n) depend on the
+exponent.  So each formula's y^k row, the merged map from drop tuple
+(d_0, ..., d_n) to integer weight, is its skeleton: enumerated once per
+``(n, k, form)`` and kept in the module table ``_SKELETONS``.  A row holds
+the lower powers prod_{i<n} l_i^(-d_i), j_n = d_n and the weight, never
+a parameter; another exponent, a lower order or another term of
+``closed_form_series`` reuses it.  The forms keep separate rows, so their
+agreement stays a real check.  The table keeps rows while it holds at most
+``_SKELETON_CAP`` cells (one per entry plus one per lower power); a row
+past the cap is built, used and not kept.
 """
 
 from __future__ import annotations
 
 from math import factorial, prod
+from typing import Iterator
 
 from .algebra import Element, Exponent, Monomial, YSeries, binom, falling_row
 from .combinatorics import (
@@ -76,13 +88,77 @@ def log_power_series(exponent: "Exponent | Scalar", order: int) -> YSeries:
     return out
 
 
-def _tower_monomial(n: int, e: Exponent, drops: tuple[int, ...]) -> Monomial:
-    """l_n^(e - drops[n]) * prod_{i<n} l_i^(-drops[i])."""
-    powers = [(i, Exponent.of(-drops[i])) for i in range(n) if drops[i]]
-    top = e - drops[n]
-    if not top.is_zero:
-        powers.append((n, top))
-    return Monomial._from_canonical(tuple(powers))  # indices ascending and distinct
+# A skeleton row (see the module docstring) is a tuple of entries
+# (lower, j_n, weight): ``lower`` holds prod_{i<n} l_i^(-d_i) as canonical
+# (index, Exponent) pairs, j_n = d_n is the drop of the top power, and the
+# weight is a nonzero int.  Rows are never evicted.
+_Row = tuple[tuple[tuple[tuple[int, Exponent], ...], int, int], ...]
+_SKELETON_CAP = 1 << 16  # cells: one per entry plus one per lower power
+_SKELETONS: dict[tuple[int, int, str], _Row] = {}
+_skeleton_cells = 0  # the cells held in _SKELETONS
+
+
+def _stirling_drops(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Descending (k = j_0, ..., j_n); (-1)^(j_0+j_n) prod stirling1(j_i, j_{i+1})."""
+    # a drop to 0 kills the bracket unless everything after it is 0 too, so
+    # enumerate with floor 0; zero products are skipped by the caller
+    for js in _descending_chains(n, k, 0):
+        tup = (k,) + js
+        weight = prod(stirling1(tup[i], tup[i + 1]) for i in range(n))
+        yield tup, -weight if (k + tup[n]) & 1 else weight
+
+
+def _chain_drops(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Chains 1 <= j_n <= ... <= j_0 = k, sign (-1)^(j_0+j_n) times stirling_chain."""
+    if k == 0:
+        yield (0,) * (n + 1), 1
+    for js in _descending_chains(n, k, 1):
+        tup = (k,) + js
+        s_value = stirling_chain(tuple(reversed(tup)))
+        yield tup, -s_value if (k + tup[n]) & 1 else s_value
+
+
+def _symmetric_drops(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Compositions j_0 + ... + j_n = k; the drops are the suffix sums a_i."""
+    for js in _compositions(k, n + 1, 0):
+        suffix = [0] * (n + 2)
+        for i in range(n, -1, -1):
+            suffix[i] = suffix[i + 1] + js[i]
+        yield tuple(suffix[: n + 1]), prod(signed_esym(js[i], suffix[i + 1]) for i in range(n))
+
+
+_DROPS = {"stirling": _stirling_drops, "chain": _chain_drops, "symmetric": _symmetric_drops}
+
+
+def _skeleton(n: int, k: int, form: str) -> _Row:
+    """The skeleton row of y^k, from the table or built by the formula."""
+    global _skeleton_cells
+    row = _SKELETONS.get((n, k, form))
+    if row is not None:
+        return row
+    merged: dict[tuple[int, ...], int] = {}
+    for drops, weight in _DROPS[form](n, k):
+        if weight:
+            merged[drops] = merged.get(drops, 0) + weight
+    pairs: dict[tuple[int, int], tuple[int, Exponent]] = {}  # one pair object per power
+    row = tuple(
+        (
+            tuple(
+                pairs.setdefault((i, d), (i, Exponent.of(-d)))
+                for i, d in enumerate(drops[:n])
+                if d
+            ),
+            drops[n],
+            weight,
+        )
+        for drops, weight in merged.items()
+        if weight
+    )
+    cells = sum(len(lower) + 1 for lower, _, _ in row)
+    if _skeleton_cells + cells <= _SKELETON_CAP:
+        _SKELETONS[n, k, form] = row
+        _skeleton_cells += cells
+    return row
 
 
 def iterated_log_series(
@@ -96,48 +172,22 @@ def iterated_log_series(
     if form not in FORMS:
         raise ValueError(f"unknown formula {form!r}; choose from {FORMS}")
     e = Exponent.of(exponent)
+    # the y^k numerator of an entry is den * binom(e, j_n) * j_n! * weight,
+    # which is falls[j_n] * weight, times l_n^(e - j_n) * lower
     den, falls = falling_row(e, order)
-    # terms[k] collects the (monomial, numerator) pairs of y^k: the
-    # coefficient binom(e, j_n) * j_n!/k! * weight is falling(e, j_n)/k! * weight
-    terms: list[list[tuple[Monomial, Coeff]]] = [[] for _ in range(order + 1)]
-
-    def add(k: int, drops: tuple[int, ...], jn: int, weight: int) -> None:
-        """Add den * falling(e, j_n) * weight times the tower monomial to y^k."""
-        terms[k].append((_tower_monomial(n, e, drops), falls[jn] * weight))
-
-    if form == "stirling":
-        for j0 in range(order + 1):
-            # descending tuples (j_0, ..., j_n); a drop to 0 kills the bracket
-            # unless everything after it is 0 too, so enumerate with floor 0
-            # and skip zero products.
-            for js in _descending_chains(n, j0, 0):
-                tup = (j0,) + js
-                weight = prod(stirling1(tup[i], tup[i + 1]) for i in range(n))
-                if weight:
-                    jn = tup[n]
-                    add(j0, tup, jn, -weight if (j0 + jn) & 1 else weight)
-
-    elif form == "chain":
-        terms[0].append((Monomial.gen(n, e), den))
-        for k in range(1, order + 1):
-            for js in _descending_chains(n, k, 1):
-                tup = (k,) + js  # (j_0=k, j_1, ..., j_n), all >= 1
-                s_value = stirling_chain(tuple(reversed(tup)))
-                if s_value:
-                    jn = tup[n]
-                    add(k, tup, jn, -s_value if (k + jn) & 1 else s_value)
-
-    else:  # symmetric
-        for k in range(order + 1):
-            for js in _compositions(k, n + 1, 0):
-                suffix = [0] * (n + 2)
-                for i in range(n, -1, -1):
-                    suffix[i] = suffix[i + 1] + js[i]
-                weight = prod(signed_esym(js[i], suffix[i + 1]) for i in range(n))
-                if weight:
-                    add(k, tuple(suffix[: n + 1]), js[n], weight)
-
-    return YSeries.divided([Element.from_terms(t) for t in terms], den)
+    tops = []
+    for j in range(order + 1):
+        top = e - j
+        tops.append(() if top.is_zero else ((n, top),))
+    num = []
+    for k in range(order + 1):
+        terms: dict[Monomial, Coeff] = {}
+        for lower, jn, weight in _skeleton(n, k, form):
+            c = falls[jn]
+            if c:  # the merged drop tuples are distinct, and so are their monomials
+                terms[Monomial._from_canonical(lower + tops[jn])] = c * weight
+        num.append(Element._of(terms))
+    return YSeries.divided(num, den)
 
 
 def closed_form_series(a: Element, order: int, form: str = "stirling") -> YSeries:

@@ -95,6 +95,16 @@ def test_engine_and_closed_form_agree_bytewise():
         assert via_engine.stdout == via_formula.stdout, expr
 
 
+def test_closed_form_answers_a_deep_tower_index():
+    """One enumerated part per tower level: l_1000 must not exhaust the recursion limit."""
+    via_engine = run_cli("expand", "--expr", "l_1000(x)", "--order", "1")
+    via_formula = run_cli("expand", "--expr", "l_1000(x)", "--order", "1", "--via", "closed-form")
+    assert via_formula.returncode == 0, via_formula.stderr
+    assert via_formula.stderr == ""
+    assert via_engine.returncode == 0
+    assert via_formula.stdout == via_engine.stdout
+
+
 def test_lift_command():
     result = run_cli("lift", "--expr", "log(x)", "--order", "4")
     assert result.returncode == 0

@@ -6,10 +6,12 @@ and coefficient by coefficient.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from math import factorial, prod
 
 import pytest
 
+from formalcalc import expansions
 from formalcalc.algebra import Element, Exponent, Monomial, YSeries, binom
 from formalcalc.combinatorics import (
     _compositions,
@@ -127,6 +129,101 @@ def old_iterated_log_series(n, exponent, order, form):
                 scale = Fraction(factorial(jn), factorial(k)) * weight
                 terms[k].append((tower_monomial(e, tuple(suffix[: n + 1])), binoms[jn] * scale))
     return YSeries([Element.from_terms(t) for t in terms])
+
+
+def test_enumerators_match_their_definitions():
+    """The enumerators that both routes share, against itertools, in lexicographic order."""
+    for length in range(6):
+        for top in range(-1, 7):
+            for floor in range(3):
+                rising = combinations_with_replacement(range(floor, top + 1), length)
+                want = sorted(t[::-1] for t in rising)
+                assert list(_descending_chains(length, top, floor)) == want, (length, top, floor)
+    for total in range(9):
+        for parts in range(1, 6):
+            for floor in range(3):
+                tuples = product(range(floor, total + 1), repeat=parts)
+                want = [t for t in tuples if sum(t) == total]
+                assert list(_compositions(total, parts, floor)) == want, (total, parts, floor)
+
+
+def test_enumerators_reach_deep_towers():
+    """One part per tower level, well past the interpreter's recursion limit."""
+    chains = list(_descending_chains(1201, 1, 0))
+    assert len(chains) == 1202 and chains[-1] == (1,) * 1201
+    comps = list(_compositions(1, 1201, 0))
+    assert len(comps) == 1201 and comps[0] == (0,) * 1200 + (1,)
+
+
+def empty_table(monkeypatch):
+    """Give the test an empty skeleton table; monkeypatch restores the shared one."""
+    monkeypatch.setattr(expansions, "_SKELETONS", {})
+    monkeypatch.setattr(expansions, "_skeleton_cells", 0)
+
+
+@pytest.fixture
+def cold_table(monkeypatch):
+    empty_table(monkeypatch)
+
+
+@pytest.mark.parametrize("orders", [(8, 4), (4, 8)], ids=str)
+def test_skeleton_rows_give_the_same_series_cold_and_warm(monkeypatch, orders):
+    """A row built for one order serves another: a prefix, or the start of a longer call."""
+    r = Exponent.param("r")
+    first, second = orders
+    for n in (1, 2, 3):
+        for form in FORMS:
+            empty_table(monkeypatch)
+            want = iterated_log_series(n, r, second, form)
+            empty_table(monkeypatch)
+            iterated_log_series(n, r, first, form)
+            assert iterated_log_series(n, r, second, form) == want, (n, form)
+
+
+def test_skeleton_rows_serve_every_exponent(cold_table):
+    """One warm table, exponents in sequence: each form equals the engine and the old route."""
+    r = Exponent.param("r")
+    for exponent in (r, Exponent.param("r", 2, -1), Fraction(1, 2), -2, 3):
+        for n in (1, 2, 3):
+            engine = d_dx().exp_series(Element.gen(n, exponent), 5)
+            for form in FORMS:
+                got = iterated_log_series(n, exponent, 5, form)
+                assert got == engine, (exponent, n, form)
+                assert got == old_iterated_log_series(n, exponent, 5, form), (exponent, n, form)
+    assert len(expansions._SKELETONS) == 3 * 3 * 6
+
+
+def test_skeleton_table_holds_no_parameter(cold_table):
+    """Rows hold integer drops and weights and constant exponents, whatever e was."""
+    for exponent in (Exponent.param("r"), Exponent.param("s", 3, Fraction(1, 2))):
+        for form in FORMS:
+            iterated_log_series(2, exponent, 5, form)
+    for row in expansions._SKELETONS.values():
+        for lower, jn, weight in row:
+            assert type(jn) is int and type(weight) is int and weight
+            assert all(e.is_constant for _, e in lower)
+
+
+def test_skeleton_table_stays_within_its_cap(cold_table):
+    """A row past the cap is used and not kept."""
+    r = Exponent.param("r")
+    iterated_log_series(200, r, 2)
+    cells = sum(len(lower) + 1 for row in expansions._SKELETONS.values() for lower, _, _ in row)
+    assert cells == expansions._skeleton_cells <= expansions._SKELETON_CAP
+    # the chain row of y^2 has as many cells as the Stirling one: no room for it
+    chain = iterated_log_series(200, r, 2, "chain")
+    assert (200, 2, "chain") not in expansions._SKELETONS
+    assert expansions._skeleton_cells <= expansions._SKELETON_CAP
+    assert chain == iterated_log_series(200, r, 2)
+
+
+def test_rows_past_the_cap_give_the_same_series(cold_table, monkeypatch):
+    """With no room at all, nothing is kept and every result is unchanged."""
+    monkeypatch.setattr(expansions, "_SKELETON_CAP", 0)
+    r = Exponent.param("r")
+    for form in FORMS:
+        assert iterated_log_series(2, r, 4, form) == old_iterated_log_series(2, r, 4, form), form
+    assert expansions._SKELETONS == {} and expansions._skeleton_cells == 0
 
 
 @pytest.mark.parametrize(

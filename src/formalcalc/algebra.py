@@ -74,7 +74,7 @@ class Exponent:
     are immutable.
     """
 
-    __slots__ = ("const", "linear", "_dec", "_poly", "_coeff")
+    __slots__ = ("const", "linear", "_poly")
 
     const: Scalar
     linear: tuple[tuple[str, int], ...]
@@ -134,14 +134,6 @@ class Exponent:
             return NotImplemented
         return self + -other
 
-    def decremented(self) -> Exponent:
-        """Cached ``self - 1``; the derivation loop asks for it constantly."""
-        d = self._dec
-        if d is None:
-            d = _intern(self.const - 1, self.linear)
-            _set(self, "_dec", d)
-        return d
-
     def __neg__(self) -> Exponent:
         return _intern(-self.const, tuple((n, -m) for n, m in self.linear))
 
@@ -164,14 +156,6 @@ class Exponent:
             for name, m in self.linear:
                 cached = cached + m * ParamPoly.param(name)
             _set(self, "_poly", cached)
-        return cached
-
-    def as_coeff(self) -> Coeff:
-        """The exponent as an algebra coefficient (see ``canonical_coeff``); cached."""
-        cached = self._coeff
-        if cached is None:
-            cached = canonical_coeff(self.to_parampoly())
-            _set(self, "_coeff", cached)
         return cached
 
     def substitute(self, name: str, value: Scalar) -> Exponent:
@@ -200,9 +184,7 @@ def _intern(const: Scalar, linear: tuple[tuple[str, int], ...]) -> Exponent:
         e = _new(Exponent)
         _set(e, "const", const)
         _set(e, "linear", linear)
-        _set(e, "_dec", None)
         _set(e, "_poly", None)
-        _set(e, "_coeff", None)
         _INTERN[key] = e
     return e
 
@@ -405,7 +387,7 @@ class Element(Sparse):
         return self._terms.get(mono, 0)
 
     def generator_indices(self) -> set[int]:
-        return {i for mono in self._terms for i in mono.indices()}
+        return {i for mono in self._terms for i, _ in mono.powers}
 
     def _numerators(self) -> tuple[int, Element]:
         """(d, d * self) with d > 0 least such that every rational coefficient is an integer."""

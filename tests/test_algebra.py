@@ -42,7 +42,6 @@ def test_every_route_returns_the_interned_exponent():
     assert r1 + Exponent.of(1) is r2
     assert r2 - 1 is r1
     assert r2 - Exponent.of(1) is r1
-    assert r2.decremented() is r1
     assert Exponent(2, (("r", 1),)) is r2
     assert Exponent(2, {"r": 1, "s": 0}) is r2
     assert Exponent(Fraction(4, 2), [("r", 1)]) is r2

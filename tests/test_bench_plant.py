@@ -3,9 +3,9 @@
 ``perfbench/tests`` plants its engine-sweep fault by rewriting the literal
 ``Fraction(1, factorial(k))`` of ``derivations.py``, which the divided-power
 form no longer has, so that planted test fails before it runs the benchmark.
-This test plants on the numerator loop of ``Derivation.exp_series`` instead,
-in a copy of ``src/``, with the benchmark's own helpers; it can go once the
-benchmark plants there itself.
+This test plants on the line of ``Derivation.exp_series`` that appends each
+order's numerator instead, in a copy of ``src/``, with the benchmark's own
+helpers; it can go once the benchmark plants there itself.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ sys.path.insert(0, str(ROOT / "perfbench" / "tests"))
 
 from test_perfbench import assert_counts_add_up, planted_checkout, run_bench  # noqa: E402
 
-NUMERATOR_LOOP = "num.append(self.apply(num[-1]))"
+NUMERATOR_LOOP = "num.append(kernel.element(terms))"
 
 
 def test_engine_sweep_fails_jobs_on_a_wrong_numerator(tmp_path):
     """D^5(den * a) doubled breaks exp(yD)(a*b) = exp(yD)(a) * exp(yD)(b)."""
     checkout = planted_checkout(
         tmp_path, "derivations.py", NUMERATOR_LOOP,
-        "num.append(self.apply(num[-1]) * (1 + (len(num) == 5)))",
+        "num.append(kernel.element(terms) * (1 + (len(num) == 5)))",
     )
     result, lines = run_bench("engine-sweep", cwd=checkout)
     assert result["failed"] > 0 and not result["correct"]

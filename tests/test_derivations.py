@@ -119,28 +119,21 @@ def test_apply_is_deterministic():
     assert D.apply(a) == D.apply(a)
 
 
-def test_memo_lives_for_one_expansion(monkeypatch):
-    """A long-lived derivation keeps no monomial images between calls."""
+def test_derivation_keeps_no_term_state():
+    """A long-lived derivation keeps only its generator images: exp_series and
+    apply leave no term state behind, and repeating a call repeats its result."""
     rng = Random(7)
-    elements = [random_element(rng, max_terms=3, params=("r",)) for _ in range(51)]
-    single = d_dx()
-    single.exp_series(elements[0], 6)
-    one_call = len(single._mono_images)
-
+    elements = [random_element(rng, max_terms=3, params=("r",)) for _ in range(20)]
     D = d_dx()
-    derived = []
-    original = Derivation._derive_monomial
-
-    def counted(self, mono):
-        derived.append(mono)
-        return original(self, mono)
-
-    monkeypatch.setattr(Derivation, "_derive_monomial", counted)
-    for a in elements[1:]:
-        D.exp_series(a, 6)
-        # within one expansion each monomial is derived once
-        assert len(derived) == len(set(derived))
-        derived.clear()
-    assert len(D._mono_images) <= one_call
-    D.apply(elements[0])
-    assert len(D._mono_images) <= one_call
+    for a in elements:
+        first = D.exp_series(a, 6)
+        assert set(vars(D)) == {"name", "_images", "_rule"}
+        assert all(isinstance(img, Element) for img in D._images.values())
+        assert D.exp_series(a, 6) == first
+        assert d_dx().exp_series(a, 6) == first
+    images = dict(D._images)
+    for a in elements:
+        once = D.apply(a)
+        assert set(vars(D)) == {"name", "_images", "_rule"}
+        assert D._images == images
+        assert D.apply(a) == once == d_dx().apply(a)

@@ -48,7 +48,7 @@ from fractions import Fraction
 from collections import deque
 from itertools import compress, repeat
 from math import floor
-from operator import add, setitem
+from operator import add, or_, setitem
 from typing import Callable, Mapping
 
 from . import params
@@ -162,19 +162,22 @@ class _Entries(dict):
 
 
 class _Pairs(dict):
-    """Shift entry + position -> the power pair (index, Exponent), filled on first use.
+    """Shift entry + position -> the power pair (index, Exponent) of one class.
 
-    A Monomial's pairs are shared, not built per term, which keeps deep
-    towers from making millions of small tuples.
+    Filled on first use; the exponent is the entry's integer plus the
+    class part at that position.  A Monomial's pairs are shared, not built
+    per term, which keeps deep towers from making millions of small tuples.
     """
 
-    def __init__(self, indices: tuple[int, ...], unit: int):
+    def __init__(self, indices: tuple[int, ...], unit: int, exps: dict[int, Exponent]):
         self.indices = indices
         self.unit = unit
+        self.exps = exps
 
     def __missing__(self, key: int) -> tuple[int, Exponent]:
         n, p = divmod(key, self.unit)
-        pair = self[key] = (self.indices[p], Exponent.of(n))
+        part = self.exps.get(p)
+        pair = self[key] = (self.indices[p], Exponent.of(n) if part is None else part + n)
         return pair
 
 
@@ -194,12 +197,11 @@ class _Kernel:
         # position names the pair, and no entry is -1, which CPython hashes
         # like -2 (tower shifts of -1 and -2 would collide in every dict)
         self.unit = unit = 2 * max(len(self.indices), 1)
-        self.pairs = _Pairs(self.indices, unit)
         self.entries = _Entries(unit)
         self.ratios: dict[int, list] = {}  # position -> terms of D(l_i)/l_i
-        self.plans: dict[tuple, tuple] = {}  # class -> (class dict, moves by entry + p)
+        self.plans: dict[tuple, tuple] = {}  # class -> see _plan
         self.merges: dict[tuple, tuple] = {}  # (class, class part) -> (class, carry)
-        self.monos: dict[tuple, Monomial] = {}  # (class, shift) -> Monomial
+        self.monos: dict[tuple, dict] = {}  # class -> {shift: Monomial}
         self.fractions = False  # whether some value built so far is a Fraction
 
     def split(self, a: Element) -> dict:
@@ -254,13 +256,29 @@ class _Kernel:
             hit = self.merges[key] = (tuple(sorted(exps.items())), tuple(carry))
         return hit
 
-    def _moves(self, cls: tuple, exps: dict, p: int, sp: int) -> list:
-        """[(target class, delta, factor items)] for the exponent at position p."""
-        ce = exps.get(p)
-        n = sp // self.unit
-        factor = (Exponent.of(n) if ce is None else ce + n).to_parampoly()
+    def _plan(self, cls: tuple) -> tuple:
+        """(moves by pair key, power pairs by pair key, selector mask) of a class.
+
+        A pair key is shift entry + position.  The mask is 1 at each class
+        position, so ``map(or_, shift, mask)`` is nonzero exactly where the
+        term's exponent is; None for the integer class.
+        """
+        plan = self.plans.get(cls)
+        if plan is None:
+            exps = dict(cls)
+            mask = None
+            if exps:
+                mask = [0] * len(self.indices)
+                for p in exps:
+                    mask[p] = 1
+            plan = self.plans[cls] = ({}, _Pairs(self.indices, self.unit, exps), mask)
+        return plan
+
+    def _moves(self, cls: tuple, pairs: _Pairs, key: int) -> list:
+        """[(target class, delta, factor items)] for the power pair of this key."""
+        factor = pairs[key][1].to_parampoly()
         moves = []
-        for part, delta, c in self._ratio(p):
+        for part, delta, c in self._ratio(key % self.unit):
             target = None  # the same class
             if part:
                 target, carry = self._merge(cls, part)
@@ -273,10 +291,7 @@ class _Kernel:
         out: dict[tuple, dict] = {}
         positions = self.positions
         for cls, by_shift in terms.items():
-            plan = self.plans.get(cls)
-            if plan is None:
-                plan = self.plans[cls] = (dict(cls), {})
-            exps, cache = plan
+            cache, pairs, mask = self._plan(cls)
             here = out.get(cls)
             if here is None:
                 here = out[cls] = {}
@@ -284,14 +299,11 @@ class _Kernel:
                 items = coeff.items()
                 # one value is by far the common coefficient: keep it unpacked
                 ck, cv = next(iter(items)) if len(coeff) == 1 else (None, None)
-                active = compress(positions, shift)
-                if exps:
-                    active = sorted(exps.keys() | set(active))
-                for p in active:
-                    sp = shift[p]
-                    moves = cache.get(sp + p)
+                keys = map(add, shift, positions)
+                for key in compress(keys, shift if mask is None else map(or_, shift, mask)):
+                    moves = cache.get(key)
                     if moves is None:
-                        moves = cache[sp + p] = self._moves(cls, exps, p, sp)
+                        moves = cache[key] = self._moves(cls, pairs, key)
                     for target, delta, factor in moves:
                         if target is None:
                             dest = here
@@ -327,8 +339,10 @@ class _Kernel:
         """
         acc = {}
         keys = 0
-        monos = self.monos
         for cls, by_shift in terms.items():
+            monos = self.monos.get(cls)
+            if monos is None:
+                monos = self.monos[cls] = {}
             for shift, coeff in list(by_shift.items()):
                 if len(coeff) == 1 and type(value := coeff.get(0)) is int:
                     if not value:
@@ -352,9 +366,9 @@ class _Kernel:
                     value = clean.get(0)
                     if value is None or len(clean) > 1:
                         value = ParamPoly._of(clean)
-                mono = monos.get((cls, shift))
+                mono = monos.get(shift)
                 if mono is None:
-                    mono = monos[cls, shift] = self._monomial(cls, shift)
+                    mono = monos[shift] = self._monomial(cls, shift)
                 acc[mono] = value
         if keys & params._GUARDS:
             raise params._cap_error()
@@ -362,13 +376,9 @@ class _Kernel:
 
     def _monomial(self, cls: tuple, shift: tuple) -> Monomial:
         """The Monomial of one (class, shift), its pairs looked up, never built, in C."""
-        pairs = map(self.pairs.__getitem__, compress(map(add, shift, self.positions), shift))
-        if not cls:
-            return Monomial._from_canonical(tuple(pairs))
-        exps = dict(pairs)
-        for p, e in cls:
-            exps[self.indices[p]] = e + shift[p] // self.unit
-        return Monomial._from_canonical(tuple(sorted(exps.items())))
+        _, pairs, mask = self._plan(cls)
+        keys = compress(map(add, shift, self.positions), shift if mask is None else map(or_, shift, mask))
+        return Monomial._from_canonical(tuple(map(pairs.__getitem__, keys)))
 
 
 # The longest runs of tower pairs built so far: (i, -1) for i = 0, 1, ... and

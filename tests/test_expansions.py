@@ -193,6 +193,24 @@ def test_skeleton_rows_serve_every_exponent(cold_table):
     assert len(expansions._SKELETONS) == 3 * 3 * 6
 
 
+def test_skeleton_rows_hold_one_entry_per_chain(cold_table):
+    """Every form's row of y^k lives on the chains k = a_0 >= ... >= a_n >= 1 (y^0: a = 0),
+    one entry per chain and none of weight 0."""
+    for n in range(1, 5):
+        for k in range(7):
+            chains = [(k,) + js for js in _descending_chains(n, k, 1)] if k else [(0,) * (n + 1)]
+            for form in FORMS:
+                row = expansions._skeleton(n, k, form)
+                drops = []
+                for lower, jn, weight in row:
+                    assert weight, (n, k, form)
+                    powers = dict(lower)
+                    assert len(powers) == len(lower) and set(powers) <= set(range(n))
+                    lowers = (-powers[i].as_integer() if i in powers else 0 for i in range(n))
+                    drops.append((*lowers, jn))
+                assert sorted(drops) == sorted(chains), (n, k, form)
+
+
 def test_skeleton_table_holds_no_parameter(cold_table):
     """Rows hold integer drops and weights and constant exponents, whatever e was."""
     for exponent in (Exponent.param("r"), Exponent.param("s", 3, Fraction(1, 2))):

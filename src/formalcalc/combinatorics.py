@@ -137,6 +137,15 @@ def signed_esym_by_combinations(m: int, n: int) -> int:
     return (-1) ** m * sum(prod(c) for c in combinations(range(m + n), m))
 
 
+def _chain_base(js: tuple[int, ...]) -> int | None:
+    """S(js) on the base rows (an entry < 1, or j_0 == 1), else None."""
+    if min(js) < 1:
+        return 0
+    if js[-1] == 1:
+        return int(max(js) == 1)
+    return None
+
+
 def stirling_chain(chain: Sequence[int]) -> int:
     """The chain recursion S(j_n, ..., j_0), deepest index first.
 
@@ -147,26 +156,40 @@ def stirling_chain(chain: Sequence[int]) -> int:
                           + sum_p (j_p - 1) * S(.., j_p - 1, .., j_0 - 1)
 
     where the p-th summand decrements only the last p+1 entries
-    (positions p down to 0, counting from the right).
+    (positions p down to 0, counting from the right).  The recursion is
+    j_0 calls deep, so it runs on an explicit stack: a tuple stays there
+    until every tuple it sums is known.
     """
     js = tuple(chain)
     if not js:
         raise ValueError("chain must be nonempty")
-    if min(js) < 1:
-        return 0
-    if js[-1] == 1:
-        return 1 if all(j == 1 for j in js) else 0
-    if js not in _CHAIN:
-        total = stirling_chain(tuple(j - 1 for j in js))
-        n = len(js) - 1
-        for p in range(n):
-            # decrement positions p..0 from the right; weight j_p - 1
-            jp = js[n - p]
-            if jp > 1:
-                decremented = js[: n - p] + tuple(j - 1 for j in js[n - p :])
-                total += (jp - 1) * stirling_chain(decremented)
-        _CHAIN[js] = total
-    return _CHAIN[js]
+    known = _CHAIN.get
+    value = known(js)
+    if value is None:
+        value = _chain_base(js)
+    if value is not None:
+        return value
+    stack = [js]
+    while stack:
+        top = stack[-1]
+        waiting = len(stack)
+        low = tuple(map((-1).__add__, top))  # every entry decremented
+        value = 0
+        for q in range(len(top)):  # q = n - p; q = 0 is the first summand
+            weight = top[q] - 1 if q else 1
+            if weight:
+                t = top[:q] + low[q:]
+                v = known(t)
+                if v is None:
+                    v = _chain_base(t)
+                    if v is None:
+                        stack.append(t)
+                        continue
+                value += weight * v
+        if len(stack) == waiting:
+            _CHAIN[top] = value
+            stack.pop()
+    return value
 
 
 def _descending_chains(length: int, max_top: int, floor: int) -> Iterator[tuple[int, ...]]:

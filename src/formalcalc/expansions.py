@@ -7,45 +7,42 @@ are cross-checked in the tests against ``exp_series`` of d/dx applied to
 the corresponding generator power; the two routes share no code beyond the
 algebra itself.
 
-``iterated_log_series`` offers the three equivalent summation formulas:
+``iterated_log_series`` offers three equivalent summation formulas, each
+evaluated on the descending chains k = a_0 >= a_1 >= ... >= a_n >= 1 (for
+k = 0, the lone term l_n^e).  The chain a adds binom(e, a_n) (a_n!/k!)
+weight(a) l_n^(e - a_n) prod_{i<n} l_i^(-a_i) to y^k, with weight
 
-* ``"stirling"`` — a sum over all weakly descending tuples
-  j_0 >= j_1 >= ... >= j_n >= 0 with Stirling-product weight
-  prod stirling1(j_i, j_{i+1}) and sign (-1)^(j_0+j_n); contributes to y^{j_0}.
-* ``"chain"`` — a sum over chains 1 <= j_n <= ... <= j_1 <= j_0 = k
-  weighted by the chain recursion stirling_chain(j_n, ..., j_0).
-* ``"symmetric"`` — a sum over compositions j_0 + ... + j_n = k with
-  signed-elementary-symmetric weights signed_esym(j_i, a_{i+1}), where
-  a_i is the suffix sum j_i + ... + j_n.
+* ``"stirling"`` — (-1)^(a_0+a_n) prod stirling1(a_i, a_{i+1});
+* ``"chain"`` — (-1)^(a_0+a_n) stirling_chain(a_n, ..., a_0);
+* ``"symmetric"`` — prod signed_esym(a_i - a_{i+1}, a_{i+1}).
 
-That these agree (and agree with the engine) is the point of the
-combinatorial identities; the tests treat any disagreement as an error.
+The Stirling formula sums over all tuples j_0 >= ... >= j_n >= 0, and the
+symmetric one over compositions j_0 + ... + j_n = k with parts >= 0 (the
+a_i are their suffix sums).  Only the chains give nonzero terms: a tuple
+that drops from a positive entry to 0 has a factor stirling1(a, 0) = 0
+(Graham, Knuth and Patashnik, section 6.1), or signed_esym(m, 0) = 0 for
+m > 0, whose m factors include 0.  That the formulas agree (and agree with
+the engine) is the point of the combinatorial identities; the tests treat
+any disagreement as an error.
 
-Only falling(e, j_n) and the top power l_n^(e - j_n) depend on the
-exponent.  So each formula's y^k row, the merged map from drop tuple
-(d_0, ..., d_n) to integer weight, is its skeleton: enumerated once per
-``(n, k, form)`` and kept in the module table ``_SKELETONS``.  A row holds
-the lower powers prod_{i<n} l_i^(-d_i), j_n = d_n and the weight, never
-a parameter; another exponent, a lower order or another term of
-``closed_form_series`` reuses it.  The forms keep separate rows, so their
-agreement stays a real check.  The table keeps rows while it holds at most
-``_SKELETON_CAP`` cells (one per entry plus one per lower power); a row
-past the cap is built, used and not kept.
+Only falling(e, a_n) and the top power l_n^(e - a_n) depend on the
+exponent.  So each formula's y^k row, the map from chain to integer
+weight, is its skeleton: enumerated once per ``(n, k, form)`` and kept in
+the module table ``_SKELETONS``.  A row holds the lower powers
+prod_{i<n} l_i^(-a_i), j_n = a_n and the weight, never a parameter;
+another exponent, a lower order or another term of ``closed_form_series``
+reuses it.  The forms keep separate rows, so their agreement stays a real
+check.  The table keeps rows while it holds at most ``_SKELETON_CAP``
+cells (one per entry plus one per lower power); a row past the cap is
+built, used and not kept.
 """
 
 from __future__ import annotations
 
 from math import factorial, prod
-from typing import Iterator
 
 from .algebra import Element, Exponent, Monomial, YSeries, binom, falling_row
-from .combinatorics import (
-    _compositions,
-    _descending_chains,
-    signed_esym,
-    stirling1,
-    stirling_chain,
-)
+from .combinatorics import _descending_chains, signed_esym, stirling1, stirling_chain
 from .params import Coeff, Scalar
 
 FORMS = ("stirling", "chain", "symmetric")
@@ -89,45 +86,21 @@ def log_power_series(exponent: "Exponent | Scalar", order: int) -> YSeries:
 
 
 # A skeleton row (see the module docstring) is a tuple of entries
-# (lower, j_n, weight): ``lower`` holds prod_{i<n} l_i^(-d_i) as canonical
-# (index, Exponent) pairs, j_n = d_n is the drop of the top power, and the
-# weight is a nonzero int.  Rows are never evicted.
+# (lower, j_n, weight) of a chain a: ``lower`` holds prod_{i<n} l_i^(-a_i) as
+# canonical (index, Exponent) pairs, j_n = a_n is the drop of the top power,
+# and the weight is a nonzero int.  Rows are never evicted.
 _Row = tuple[tuple[tuple[tuple[int, Exponent], ...], int, int], ...]
 _SKELETON_CAP = 1 << 16  # cells: one per entry plus one per lower power
 _SKELETONS: dict[tuple[int, int, str], _Row] = {}
 _skeleton_cells = 0  # the cells held in _SKELETONS
 
 
-def _stirling_drops(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Descending (k = j_0, ..., j_n); (-1)^(j_0+j_n) prod stirling1(j_i, j_{i+1})."""
-    # a drop to 0 kills the bracket unless everything after it is 0 too, so
-    # enumerate with floor 0; zero products are skipped by the caller
-    for js in _descending_chains(n, k, 0):
-        tup = (k,) + js
-        weight = prod(stirling1(tup[i], tup[i + 1]) for i in range(n))
-        yield tup, -weight if (k + tup[n]) & 1 else weight
-
-
-def _chain_drops(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Chains 1 <= j_n <= ... <= j_0 = k, sign (-1)^(j_0+j_n) times stirling_chain."""
-    if k == 0:
-        yield (0,) * (n + 1), 1
-    for js in _descending_chains(n, k, 1):
-        tup = (k,) + js
-        s_value = stirling_chain(tuple(reversed(tup)))
-        yield tup, -s_value if (k + tup[n]) & 1 else s_value
-
-
-def _symmetric_drops(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Compositions j_0 + ... + j_n = k; the drops are the suffix sums a_i."""
-    for js in _compositions(k, n + 1, 0):
-        suffix = [0] * (n + 2)
-        for i in range(n, -1, -1):
-            suffix[i] = suffix[i + 1] + js[i]
-        yield tuple(suffix[: n + 1]), prod(signed_esym(js[i], suffix[i + 1]) for i in range(n))
-
-
-_DROPS = {"stirling": _stirling_drops, "chain": _chain_drops, "symmetric": _symmetric_drops}
+# Each form's weight of a chain a = (k = a_0 >= a_1 >= ... >= a_n >= 1); never 0.
+_WEIGHTS = {
+    "stirling": lambda a: (-1) ** (a[0] + a[-1]) * prod(map(stirling1, a, a[1:])),
+    "chain": lambda a: (-1) ** (a[0] + a[-1]) * stirling_chain(a[::-1]),
+    "symmetric": lambda a: prod(signed_esym(p - q, q) for p, q in zip(a, a[1:])),
+}
 
 
 def _skeleton(n: int, k: int, form: str) -> _Row:
@@ -136,24 +109,19 @@ def _skeleton(n: int, k: int, form: str) -> _Row:
     row = _SKELETONS.get((n, k, form))
     if row is not None:
         return row
-    merged: dict[tuple[int, ...], int] = {}
-    for drops, weight in _DROPS[form](n, k):
-        if weight:
-            merged[drops] = merged.get(drops, 0) + weight
-    pairs: dict[tuple[int, int], tuple[int, Exponent]] = {}  # one pair object per power
-    row = tuple(
-        (
-            tuple(
-                pairs.setdefault((i, d), (i, Exponent.of(-d)))
-                for i, d in enumerate(drops[:n])
-                if d
-            ),
-            drops[n],
-            weight,
+    if k == 0:
+        row = (((), 0, 1),)  # the lone term l_n^e
+    else:
+        weight = _WEIGHTS[form]
+        pairs: dict[tuple[int, int], tuple[int, Exponent]] = {}  # one pair object per power
+        row = tuple(
+            (
+                tuple(pairs.setdefault((i, d), (i, Exponent.of(-d))) for i, d in enumerate(a[:n])),
+                a[n],
+                weight(a),
+            )
+            for a in ((k, *js) for js in _descending_chains(n, k, 1))
         )
-        for drops, weight in merged.items()
-        if weight
-    )
     cells = sum(len(lower) + 1 for lower, _, _ in row)
     if _skeleton_cells + cells <= _SKELETON_CAP:
         _SKELETONS[n, k, form] = row
@@ -184,7 +152,7 @@ def iterated_log_series(
         terms: dict[Monomial, Coeff] = {}
         for lower, jn, weight in _skeleton(n, k, form):
             c = falls[jn]
-            if c:  # the merged drop tuples are distinct, and so are their monomials
+            if c:  # the chains are distinct, and so are their monomials
                 terms[Monomial._from_canonical(lower + tops[jn])] = c * weight
         num.append(Element._of(terms))
     return YSeries.divided(num, den)

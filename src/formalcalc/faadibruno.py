@@ -302,7 +302,9 @@ def umbral_shift(weights: Sequence[Fraction | int], depth: int) -> UmbralShift:
     if depth < 1:
         raise ValueError("depth must be at least 1")
     w = [Fraction(v) for v in weights]
-    if not w or not w[0]:
+    if not w:
+        raise ValueError("no weight given")
+    if not w[0]:
         raise ValueError("first weight must be nonzero; the recursion pivots on it")
     w += [Fraction(0)] * max(0, depth - len(w))
 

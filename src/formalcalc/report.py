@@ -25,9 +25,12 @@ class VerifyReport(NamedTuple):
 
 def sweep(check: str, outcomes: Iterable[str | None]) -> VerifyReport:
     """Run the sweep ``check``: each outcome is one case, None if it holds, else its
-    counterexample.  Counts the cases and stops at the first counterexample."""
+    counterexample.  Counts the cases and stops at the first counterexample; a
+    sweep whose bounds leave no case raises ValueError rather than pass."""
     cases = 0
     for cases, failure in enumerate(outcomes, 1):
         if failure is not None:
             return VerifyReport(check, False, cases, failure)
+    if not cases:
+        raise ValueError(f"{check}: the bounds leave no case to check")
     return VerifyReport(check, True, cases)

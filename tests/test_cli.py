@@ -96,13 +96,15 @@ def test_engine_and_closed_form_agree_bytewise():
 
 
 def test_closed_form_answers_a_deep_tower_index():
-    """One enumerated part per tower level: l_1000 must not exhaust the recursion limit."""
-    via_engine = run_cli("expand", "--expr", "l_1000(x)", "--order", "1")
-    via_formula = run_cli("expand", "--expr", "l_1000(x)", "--order", "1", "--via", "closed-form")
-    assert via_formula.returncode == 0, via_formula.stderr
-    assert via_formula.stderr == ""
-    assert via_engine.returncode == 0
-    assert via_formula.stdout == via_engine.stdout
+    """One enumerated part per tower level: l_1000 must not exhaust the recursion limit,
+    and the y^2 row of l_300 walks its 301 chains, not every tuple of drops."""
+    for expr, order in (("l_1000(x)", "1"), ("l_300(x)^r", "2")):
+        via_engine = run_cli("expand", "--expr", expr, "--order", order)
+        via_formula = run_cli("expand", "--expr", expr, "--order", order, "--via", "closed-form")
+        assert via_formula.returncode == 0, via_formula.stderr
+        assert via_formula.stderr == ""
+        assert via_engine.returncode == 0
+        assert via_formula.stdout == via_engine.stdout, expr
 
 
 def test_lift_command():
@@ -212,6 +214,9 @@ def test_umbral_bad_weights():
     assert result.stderr
     result = run_cli("umbral", "--B", "0,1", "--depth", "2")
     assert result.returncode == 2
+    result = run_cli("umbral", "--B", ",", "--depth", "2")
+    assert result.returncode == 2
+    assert result.stderr == "formalcalc: no weight given\n"
     result = run_cli("umbral", "--B", "1/0", "--depth", "2")
     assert result.returncode == 2
     assert result.stderr == "formalcalc: could not read weights from '1/0'\n"

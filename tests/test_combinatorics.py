@@ -147,6 +147,11 @@ def test_chain_edge_inputs():
     assert stirling_chain((2, 0)) == 0
 
 
+def test_chain_runs_past_the_recursion_limit():
+    """The recursion is j_0 deep; a chain with j_0 = 1200 must not exhaust the interpreter."""
+    assert stirling_chain((1, 1200)) == factorial(1199)
+
+
 def test_chain_equals_bracket_products():
     """S(j_n,...,j_0) is a product of Stirling cycle numbers along the chain."""
     report = verify_chain_product(max_k=5, max_n=3)

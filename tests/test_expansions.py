@@ -262,6 +262,15 @@ def test_iterated_log_forms_match_engine_and_old_route(exponent):
                     assert mono == Monomial(mono.powers) and coeff, (n, form)
 
 
+@pytest.mark.parametrize("n, order", [(200, 2), (12, 4)], ids=str)
+def test_iterated_log_forms_match_engine_on_deep_towers(cold_table, n, order):
+    """Every form past n = 3: l_200 to y^2 and l_12 to y^4, symbolic exponent."""
+    r = Exponent.param("r")
+    engine = d_dx().exp_series(Element.gen(n, r), order)
+    for form in FORMS:
+        assert iterated_log_series(n, r, order, form) == engine, form
+
+
 def test_iterated_log_numeric_exponent():
     engine = d_dx().exp_series(Element.gen(2, -2), 4)
     for form in FORMS:

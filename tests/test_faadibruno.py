@@ -193,8 +193,10 @@ def test_umbral_apply_degree_guard():
 
 
 def test_umbral_rejects_zero_leading_weight():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="first weight must be nonzero"):
         umbral_shift((0, 1), 3)
+    with pytest.raises(ValueError, match="no weight given"):
+        umbral_shift([], 3)
 
 
 def test_umbral_random_weights_solve():

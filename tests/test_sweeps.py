@@ -2,8 +2,11 @@
 
 No passing sweep shows that a sweep counts its cases and stops at the first
 counterexample.  Each test here plants one wrong value and pins the case
-count at the first failure and the counterexample text.
+count at the first failure and the counterexample text.  A sweep whose
+bounds leave no case raises instead of passing.
 """
+
+import pytest
 
 from formalcalc import checks, cli, combinatorics, diffrep, latexio
 from formalcalc.algebra import Element, YSeries
@@ -81,6 +84,21 @@ def test_lubell_sweep_stops_at_first_failure(monkeypatch):
     assert report.cases == 26
     assert report.counterexample == "(m;n)=(2;3): signed esym 36 != signed stirling 35"
 
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: combinatorics.verify_chain_product(max_k=0),
+        lambda: combinatorics.verify_lubell(max_n=0, max_pair_sum=0),
+        lambda: checks.verify_automorphism(trials=0),
+        lambda: checks.verify_composition(trials=0),
+    ],
+    ids=["chain-product", "lubell", "automorphism", "faa-di-bruno"],
+)
+def test_sweep_with_no_case_raises(run):
+    with pytest.raises(ValueError, match="the bounds leave no case to check"):
+        run()
 
 
 def test_failing_sweep_prints_valid_latex(monkeypatch, capsys):

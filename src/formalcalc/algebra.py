@@ -462,7 +462,8 @@ class YSeries:
 
     @classmethod
     def _of(cls, num: list[Element], den: int) -> YSeries:
-        """Wrap integer-valued numerators over ``den``; ``_cleared`` makes them so."""
+        """Wrap integer-valued numerators over ``den``; ``_cleared`` makes them so,
+        or the caller builds them so (the closed forms in ``expansions``)."""
         out = _new(cls)
         out._num, out._den = num, den
         return out

@@ -35,6 +35,11 @@ reuses it.  The forms keep separate rows, so their agreement stays a real
 check.  The table keeps rows while it holds at most ``_SKELETON_CAP``
 cells (one per entry plus one per lower power); a row past the cap is
 built, used and not kept.
+
+Every closed form builds its numerators with integer coefficients: from
+``falling_row``, integer weights and factorials.  So each wraps them with
+``YSeries._of`` as they are, and none pays for ``_cleared``'s search for a
+common denominator, which would always find 1.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ def binomial_series(exponent: "Exponent | Scalar", order: int) -> YSeries:
         raise ValueError("order must be nonnegative")
     e = Exponent.of(exponent)
     den, row = falling_row(e, order)
-    return YSeries.divided([Element({Monomial.gen(0, e - n): f}) for n, f in enumerate(row)], den)
+    return YSeries._of([Element({Monomial.gen(0, e - n): f}) for n, f in enumerate(row)], den)
 
 
 def log_series(order: int) -> YSeries:
@@ -62,7 +67,7 @@ def log_series(order: int) -> YSeries:
     if order < 0:
         raise ValueError("order must be nonnegative")
     num = [Element({Monomial.gen(0, -1 - k): (-1) ** k * factorial(k)}) for k in range(order)]
-    return YSeries.divided([Element.gen(1), *num])
+    return YSeries._of([Element.gen(1), *num], 1)
 
 
 def log_power_series(exponent: "Exponent | Scalar", order: int) -> YSeries:
@@ -155,7 +160,7 @@ def iterated_log_series(
             if c:  # the chains are distinct, and so are their monomials
                 terms[Monomial._from_canonical(lower + tops[jn])] = c * weight
         num.append(Element._of(terms))
-    return YSeries.divided(num, den)
+    return YSeries._of(num, den)
 
 
 def closed_form_series(a: Element, order: int, form: str = "stirling") -> YSeries:

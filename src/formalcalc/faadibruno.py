@@ -14,12 +14,24 @@ n-th Bell/Faa di Bruno polynomial, with one monomial per partition of n.
 direct polynomial-composition expansion and insists they agree — a dual
 path that exercises the whole derivation from both ends.
 
-The same alphabet drives the umbral-shift solver: given a weight sequence
-B with B_1 != 0, the substitution ``substitute_weights`` (y_j -> 1,
-x_i -> B_i * x) turns D^n y_0 into a polynomial p_n(x), and there is a
-unique linear operator on polynomials with  shift^n(1) = p_n  for all n.
-``umbral_shift`` solves for its images on the power basis recursively and
-re-verifies the defining property before returning.
+``derivative_tower`` reads D^n y_0 from the module table ``_TOWER``, grown on
+demand; ``taylor_coefficients`` and ``compose_series_from_table`` read it
+through ``derivative_tower``.  The table keeps rows while it holds at most
+``_TOWER_CAP`` terms; a row past the cap is built, used and not kept.
+
+The same alphabet defines the umbral shift: given a weight sequence B with
+B_1 != 0, the substitution ``substitute_weights`` (y_j -> 1, x_i -> B_i * x)
+turns D^n y_0 into a polynomial p_n(x) = sum_k B(n, k) x^k, whose
+coefficients are the partial Bell polynomials in the weights, and there is
+a unique linear operator on polynomials with  shift^n(1) = p_n  for all n.
+The p_n are of binomial type, so the operator is x * c(d/dx) for a power
+series c (S. Roman, *The Umbral Calculus*, 1984, ch. 3).  ``umbral_shift``
+takes the B(n, k) from their recurrence (L. Comtet, *Advanced
+Combinatorics*, 1974, section 3.3), solves a triangular system for the
+coefficients of c, writes the images of the powers of x in closed form,
+and re-verifies the defining property before returning.  It never builds
+the tower: the tests keep the tower route (substitute, then solve for each
+image) as its oracle.
 """
 
 from __future__ import annotations
@@ -141,13 +153,25 @@ class FdbPoly(Sparse):
         return f"FdbPoly({self})"
 
 
+# D^n y_0 for n = 0, 1, ..., grown on demand by ``derivative_tower`` and shared
+# between calls, since an FdbPoly is never changed in place.  A row is kept
+# while the table holds at most ``_TOWER_CAP`` terms in all (orders 0..27 fit,
+# about 4 MB); a row past the cap is built, used and not kept.  Rows are never
+# evicted.
+_TOWER_CAP = 1 << 14  # terms, one per partition of each kept order
+_TOWER: list[FdbPoly] = []
+
+
 def derivative_tower(order: int) -> list[FdbPoly]:
-    """[D^0 y_0, D^1 y_0, ..., D^order y_0], undivided."""
+    """[D^0 y_0, D^1 y_0, ..., D^order y_0], undivided, as a fresh list."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    tower = [FdbPoly.outer_symbol(0)]
-    for _ in range(order):
-        tower.append(tower[-1].derive())
+    tower = _TOWER[: order + 1]
+    while len(tower) <= order:
+        row = tower[-1].derive() if tower else FdbPoly.outer_symbol(0)
+        if len(tower) == len(_TOWER) and sum(map(len, _TOWER)) + len(row) <= _TOWER_CAP:
+            _TOWER.append(row)
+        tower.append(row)
     return tower
 
 
@@ -283,21 +307,45 @@ class UmbralShift(NamedTuple):
                 f"operator solved only for degree < {len(self.images)}; "
                 f"got degree {len(pq) - 1}"
             )
-        out: QPoly = []
-        for k, c in enumerate(pq):
+        out: list[Fraction | int] = [0] * (len(pq) + 1)
+        for c, image in zip(pq, self.images):
             if c:
-                out = qpoly.add(out, qpoly.scale(self.images[k], c))
-        return out
+                for i, v in enumerate(image):
+                    out[i] += c * v
+        return qpoly.normalize(out)
+
+
+def _partial_bell(w: Sequence[Fraction | int], depth: int) -> list[list[Fraction | int]]:
+    """Rows [B(n, 0), ..., B(n, n)] of the partial Bell polynomials at w, n <= depth.
+
+    B(0, 0) = 1 and B(n, k) = sum_i binom(n-1, i-1) w_i B(n-i, k-1)
+    (Comtet, section 3.3); ``w`` holds w_1, w_2, ... through w_depth.
+    """
+    bell: list[list[Fraction | int]] = [[1]]
+    for n in range(1, depth + 1):
+        row: list[Fraction | int] = [0] * (n + 1)
+        for i in range(1, n + 1):
+            if w[i - 1]:
+                f = comb(n - 1, i - 1) * w[i - 1]
+                for k, b in enumerate(bell[n - i], 1):
+                    if b:
+                        row[k] += f * b
+        bell.append(row)
+    return bell
 
 
 def umbral_shift(weights: Sequence[Fraction | int], depth: int) -> UmbralShift:
     """Solve for the operator with shift^n(1) = p_n, n = 1..depth.
 
-    Here p_n is D^n y_0 under the weight substitution.  Weights beyond the
-    given sequence are taken to be zero; the first weight must be nonzero
-    (it is the leading coefficient of every image, so the triangular solve
-    pivots on it).  The defining property is re-checked for all n <= depth
-    before the operator is returned.
+    Here p_n is D^n y_0 under the weight substitution, sum_k B(n, k) x^k.
+    Weights beyond the given sequence are taken to be zero; the first weight
+    must be nonzero (it is the leading coefficient of every image, and the
+    solve pivots on its powers).  The images come from the closed form
+    shift = x * sum_j (d_j / j!) (d/dx)^j, so x^k goes to
+    sum_j d_j binom(k, j) x^(k-j+1), where d_0 = w_1 and the x^1 coefficient
+    of shift(p_n) = p_(n+1) gives  w_(n+1) = sum_(1<=j<=n) d_j B(n, j),
+    triangular with pivot B(n, n) = w_1^n.  The defining property is
+    re-checked for all n <= depth before the operator is returned.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -308,24 +356,26 @@ def umbral_shift(weights: Sequence[Fraction | int], depth: int) -> UmbralShift:
         raise ValueError("first weight must be nonzero; the recursion pivots on it")
     w += [Fraction(0)] * max(0, depth - len(w))
 
-    targets = [p.substitute_weights(w) for p in derivative_tower(depth)]
-    images: list[QPoly] = []
-    for m in range(1, depth + 1):
-        # solve  shift(p_{m-1}) = p_m  for the image of x^{m-1}
-        prev, target = targets[m - 1], targets[m]
-        residue = target
-        for k in range(m - 1):
-            residue = qpoly.sub(residue, qpoly.scale(images[k], qpoly.coeff(prev, k)))
-        lead = qpoly.coeff(prev, m - 1)  # = w[0]^(m-1), nonzero
-        images.append(qpoly.scale(residue, Fraction(1) / lead))
+    ws = [canonical_coeff(v) for v in w]
+    bell = _partial_bell(ws, depth)
+    d: list[Fraction | int] = [ws[0]]
+    for n in range(1, depth):
+        row = bell[n]
+        residue = ws[n] - sum(d[j] * row[j] for j in range(1, n))
+        d.append(canonical_coeff(Fraction(residue, row[n])))
+    images = [
+        qpoly.normalize([0] + [d[k - i] * comb(k, i) for i in range(k + 1)])
+        for k in range(depth)
+    ]
 
     shift = UmbralShift(tuple(w), images)
     state: QPoly = qpoly.const(1)
     for m in range(1, depth + 1):
         state = shift.apply(state)
-        if state != targets[m]:
+        target = qpoly.normalize(bell[m])
+        if state != target:
             raise ConsistencyError(
                 f"umbral recursion failed self-check at depth {m}: "
-                f"{qpoly.to_string(state)} != {qpoly.to_string(targets[m])}"
+                f"{qpoly.to_string(state)} != {qpoly.to_string(target)}"
             )
     return shift

@@ -12,7 +12,8 @@ from time import perf_counter
 import jsonschema
 import pytest
 
-from formalcalc import cli
+from formalcalc import cli, qpoly
+from formalcalc.faadibruno import umbral_shift
 from formalcalc.jsonio import fraction_from_json, load_schema
 from formalcalc.report import VerifyReport
 
@@ -206,6 +207,22 @@ def test_deep_nesting_is_a_usage_error():
     assert result.stdout == ""
     assert result.stderr.startswith("formalcalc: line 1, column ")
     assert "nested deeper than" in result.stderr and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "flag, weights, depth",
+    [
+        (("--B", "1,2"), (1, 2), 60),
+        (("--B=1/2,3,-2/7",), (Fraction(1, 2), 3, Fraction(-2, 7)), 40),
+    ],
+)
+def test_umbral_deep(flag, weights, depth):
+    result = run_cli("umbral", *flag, "--depth", str(depth))
+    assert result.returncode == 0, result.stderr
+    images = umbral_shift(weights, depth).images
+    assert result.stdout.splitlines() == [
+        f"x^{k} -> {qpoly.to_string(image)}" for k, image in enumerate(images)
+    ]
 
 
 def test_umbral_bad_weights():

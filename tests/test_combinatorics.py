@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from formalcalc import combinatorics
+from formalcalc import combinatorics, faadibruno
 from formalcalc.combinatorics import (
     signed_esym,
     signed_esym_by_combinations,
@@ -107,6 +107,7 @@ def test_signed_esym_matches_sympy():
 def test_polynomial_paths_fit_budget(monkeypatch):
     """Large tables come from recurrences, not from the defining sums."""
     monkeypatch.setattr(combinatorics, "_STIRLING", [[1]])  # time the rows built from nothing
+    monkeypatch.setattr(faadibruno, "_TOWER", [])  # and the tower too
     started = time.perf_counter()
     rows = stirling_rows(200)
     esym = signed_esym(20, 20)

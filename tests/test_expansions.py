@@ -11,7 +11,7 @@ from math import factorial, prod
 
 import pytest
 
-from formalcalc import expansions
+from formalcalc import algebra, expansions
 from formalcalc.algebra import Element, Exponent, Monomial, YSeries, binom
 from formalcalc.combinatorics import (
     _compositions,
@@ -81,6 +81,29 @@ def test_iterated_log_forms_match_engine():
         engine = d_dx().exp_series(Element.gen(n, r), 3)
         for form in FORMS:
             assert iterated_log_series(n, r, 3, form) == engine, (n, form)
+
+
+def test_closed_forms_skip_cleared(monkeypatch):
+    """The closed forms build integer numerators, so none needs ``_cleared``."""
+    r, s = Exponent.param("r"), Exponent.param("s")
+    exponents = (r, 2 * r + Fraction(1, 3), Fraction(1, 2), Fraction(-3, 2), r - s)
+    order = 4
+    engine = d_dx()
+    log_want = engine.exp_series(Element.gen(1), order)
+    want = {
+        (n, e): engine.exp_series(Element.gen(n, e), order) for n in (0, 1, 2) for e in exponents
+    }
+
+    def refuse(*_args):
+        raise AssertionError("a closed form cleared its denominators")
+
+    monkeypatch.setattr(algebra, "_cleared", refuse)
+    assert log_series(order) == log_want
+    for e in exponents:
+        assert binomial_series(e, order) == want[0, e], e
+        for n in (1, 2):
+            for form in FORMS:
+                assert iterated_log_series(n, e, order, form) == want[n, e], (n, e, form)
 
 
 def old_iterated_log_series(n, exponent, order, form):

@@ -199,6 +199,110 @@ def test_umbral_rejects_zero_leading_weight():
         umbral_shift([], 3)
 
 
+def direct_tower(order):
+    """D^0 y_0 .. D^order y_0 by repeated ``derive``, with no table."""
+    tower = [y(0)]
+    for _ in range(order):
+        tower.append(tower[-1].derive())
+    return tower
+
+
+@pytest.mark.parametrize("first, second", [(9, 4), (4, 9)])
+def test_tower_table_cold_and_warm_agree(monkeypatch, first, second):
+    monkeypatch.setattr(faadibruno, "_TOWER", [])
+    assert derivative_tower(first) == direct_tower(first)  # cold
+    assert derivative_tower(second) == direct_tower(second)  # warm, or grown
+    assert derivative_tower(first) == direct_tower(first)
+    assert len(faadibruno._TOWER) == max(first, second) + 1
+
+
+def test_tower_table_hands_out_fresh_lists(monkeypatch):
+    monkeypatch.setattr(faadibruno, "_TOWER", [])
+    tower = derivative_tower(5)
+    tower[3] = FdbPoly.zero()
+    tower.append(y(7))
+    del tower[0]
+    assert derivative_tower(5) == direct_tower(5)
+    assert derivative_tower(6) == direct_tower(6)
+
+
+def test_tower_table_keeps_rows_up_to_its_cap(monkeypatch):
+    monkeypatch.setattr(faadibruno, "_TOWER", [])
+    monkeypatch.setattr(faadibruno, "_TOWER_CAP", 0)
+    for _ in range(2):
+        assert derivative_tower(8) == direct_tower(8)
+    assert faadibruno._TOWER == []
+    # orders 0..3 hold 1 + 1 + 2 + 3 terms; order 4 adds 5 more, past a cap of 10
+    monkeypatch.setattr(faadibruno, "_TOWER_CAP", 10)
+    for order in (8, 2, 8):
+        assert derivative_tower(order) == direct_tower(order)
+    assert faadibruno._TOWER == direct_tower(3)
+
+
+def ref_umbral_shift(weights, depth):
+    """The tower route: D^n y_0 under the weight substitution, then a
+    triangular solve of shift(p_(m-1)) = p_m for the image of x^(m-1)."""
+    w = [Fraction(v) for v in weights]
+    w += [Fraction(0)] * max(0, depth - len(w))
+    targets = [substitute_weights(p, w) for p in derivative_tower(depth)]
+    images = []
+    for m in range(1, depth + 1):
+        prev, residue = targets[m - 1], targets[m]
+        for k in range(m - 1):
+            residue = qpoly.sub(residue, qpoly.scale(images[k], qpoly.coeff(prev, k)))
+        images.append(qpoly.scale(residue, Fraction(1) / qpoly.coeff(prev, m - 1)))
+    return tuple(w), images
+
+
+UMBRAL_WEIGHTS = (
+    (1, 2),
+    (Fraction(1, 2), 3, Fraction(-2, 7)),
+    (2, 0, 5, 1),
+    (3, -1, 4, 1, -5, 9),  # integer
+    (Fraction(2, 3), Fraction(-1, 4), Fraction(5, 6), Fraction(7, 5)),  # fractional
+    (1, 0, 0, 0, 0, 7),  # zero-heavy
+    (Fraction(-1, 2), 0, 0, 3, 0, 0, Fraction(1, 9)),
+)
+
+
+@pytest.mark.parametrize("weights", UMBRAL_WEIGHTS)
+def test_umbral_closed_form_matches_the_tower_route(weights):
+    for depth in range(1, 13):
+        want_weights, want_images = ref_umbral_shift(weights, depth)
+        shift = umbral_shift(weights, depth)
+        assert shift.weights == want_weights
+        assert shift.images == want_images, (weights, depth)
+        for image in shift.images:
+            assert all(type(v) is int or v.denominator != 1 for v in image)
+
+
+def test_umbral_shift_leaves_the_tower_alone(monkeypatch):
+    want = ref_umbral_shift((1, 2), 12)
+
+    def refuse(*_args):
+        raise AssertionError("umbral_shift reached the Faa di Bruno tower")
+
+    monkeypatch.setattr(faadibruno, "derivative_tower", refuse)
+    monkeypatch.setattr(faadibruno, "substitute_weights", refuse)
+    monkeypatch.setattr(FdbPoly, "substitute_weights", refuse)
+    monkeypatch.setattr(FdbPoly, "derive", refuse)
+    shift = umbral_shift((1, 2), 12)
+    assert (shift.weights, shift.images) == want
+
+
+def test_umbral_self_check_catches_a_wrong_target(monkeypatch):
+    partial_bell = faadibruno._partial_bell
+
+    def bent(w, depth):
+        rows = partial_bell(w, depth)
+        rows[depth][1] += 1  # B(depth, 1) = w_depth is read by the check alone
+        return rows
+
+    monkeypatch.setattr(faadibruno, "_partial_bell", bent)
+    with pytest.raises(ConsistencyError, match="self-check at depth 5"):
+        umbral_shift((1, 2), 5)
+
+
 def test_umbral_random_weights_solve():
     """The triangular solve self-checks; construction succeeding is the test."""
     rng = Random(77)

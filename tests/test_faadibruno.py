@@ -1,6 +1,7 @@
 """Composite-derivative polynomials, the dual-path expansion, and umbral shifts."""
 
 from fractions import Fraction
+from math import comb
 from random import Random
 
 import pytest
@@ -335,3 +336,72 @@ def test_compose_expansion_catches_a_wrong_table_route(monkeypatch):
     monkeypatch.setattr(faadibruno, "compose_series_from_table", shifted)
     with pytest.raises(ConsistencyError, match=r"composition routes differ at y\^2"):
         compose_expansion(f, g, 4)
+
+
+def ref_compose_bivariate(f, g, order):
+    """y-coefficients of f(g(x+y)) by straight bivariate expansion.
+
+    Expands g(x+y) with the binomial theorem, substitutes into f by Horner's
+    scheme over polynomials-in-x per y-power, truncating y-degree at
+    ``order`` throughout.
+    """
+    fq, gq = qpoly.from_coeffs(f), qpoly.from_coeffs(g)
+    gxy = [[] for _ in range(order + 1)]  # g(x+y) as a y-coefficient list
+    for m, c in enumerate(gq):
+        if not c:
+            continue
+        for i in range(min(m, order) + 1):
+            gxy[i] = qpoly.add(gxy[i], qpoly.scale(qpoly.x_power(m - i), c * comb(m, i)))
+
+    def bi_mul(a, b):
+        out = [[] for _ in range(order + 1)]
+        for i, pa in enumerate(a):
+            if not pa:
+                continue
+            for j in range(order + 1 - i):
+                if b[j]:
+                    out[i + j] = qpoly.add(out[i + j], qpoly.mul(pa, b[j]))
+        return out
+
+    result = [[] for _ in range(order + 1)]
+    for c in reversed(fq):
+        result = bi_mul(result, gxy)
+        result[0] = qpoly.add(result[0], qpoly.const(c))
+    return result
+
+
+def random_rational_qpoly(rng: Random, max_degree: int):
+    """Up to ``max_degree``, empty one time in eight, values mixing int and Fraction."""
+    if not rng.randrange(8):
+        return []
+    values = (0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(6, 3), Fraction(5, 4))
+    return [rng.choice(values) for _ in range(rng.randrange(max_degree + 1) + 1)]
+
+
+def test_direct_route_matches_the_bivariate_expansion():
+    rng = Random(20)
+    cases = [([], [1, 2], 3), ([1, 2], [], 3), ([], [], 0), ([Fraction(1, 2)], [0, 1], 0)]
+    cases += [
+        (random_rational_qpoly(rng, 5), random_rational_qpoly(rng, 4), rng.randrange(10))
+        for _ in range(600)
+    ]
+    for f, g, order in cases:
+        got = compose_series_direct(f, g, order)
+        assert got == ref_compose_bivariate(f, g, order), (f, g, order)
+        assert len(got) == order + 1
+        for coeff in got:
+            assert coeff == qpoly.normalize(coeff), (f, g, order)
+            assert all(type(v) is int or v.denominator != 1 for v in coeff), (f, g, order)
+
+
+def test_direct_route_leaves_the_tower_alone(monkeypatch):
+    f, g = [1, Fraction(1, 2), 0, 3], [0, 2, -1]
+    want = ref_compose_bivariate(f, g, 6)
+
+    def refuse(*_args):
+        raise AssertionError("compose_series_direct reached the Faa di Bruno tower")
+
+    monkeypatch.setattr(faadibruno, "derivative_tower", refuse)
+    monkeypatch.setattr(faadibruno, "taylor_coefficients", refuse)
+    monkeypatch.setattr(FdbPoly, "derive", refuse)
+    assert compose_series_direct(f, g, 6) == want

@@ -264,7 +264,10 @@ def _run_umbral(args: argparse.Namespace) -> int:
     from .faadibruno import umbral_shift
     from .qpoly import to_string as qpoly_str
 
-    parts = [part.strip() for part in args.B.split(",") if part.strip()]
+    parts = [part.strip() for part in args.B.split(",")]
+    if any(parts) and not all(parts):  # else every later weight moves down a place
+        raise ValueError(f"weight {parts.index('') + 1} of {args.B!r} is empty")
+    parts = [part for part in parts if part]
     for part in parts:  # before Fraction builds 10^exponent
         _, e, exponent = part.lower().partition("e")
         digits = exponent.lstrip("+-").replace("_", "").lstrip("0")

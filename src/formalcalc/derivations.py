@@ -297,8 +297,6 @@ class _Kernel:
                 here = out[cls] = {}
             for shift, coeff in by_shift.items():
                 items = coeff.items()
-                # one value is by far the common coefficient: keep it unpacked
-                ck, cv = next(iter(items)) if len(coeff) == 1 else (None, None)
                 keys = map(add, shift, positions)
                 for key in compress(keys, shift if mask is None else map(or_, shift, mask)):
                     moves = cache.get(key)
@@ -313,15 +311,6 @@ class _Kernel:
                                 dest = out[target] = {}
                         moved = tuple(map(add, shift, delta))
                         acc = dest.get(moved)
-                        if ck is not None and len(factor) == 1:
-                            fk, fv = factor[0]
-                            if acc is None:
-                                dest[moved] = {ck + fk: cv * fv}
-                            else:
-                                key = ck + fk
-                                prior = acc.get(key)
-                                acc[key] = cv * fv if prior is None else prior + cv * fv
-                            continue
                         if acc is None:
                             acc = dest[moved] = {}
                         for fk, fv in factor:

@@ -10,14 +10,16 @@ function.  The derivation
 then computes composite-function derivatives symbolically: D^n y_0 is the
 n-th Bell/Faa di Bruno polynomial, with one monomial per partition of n.
 
-``compose_expansion`` runs the resulting composition formula against a
-direct polynomial-composition expansion and insists they agree — a dual
-path that exercises the whole derivation from both ends.
+``compose_expansion`` runs the resulting composition formula against the
+formal Taylor theorem and insists they agree.  The direct route composes
+h = f(g(x)) and reads the y^k coefficient of h(x+y) = exp(y d/dx) h as
+h^(k)(x) / k!; it never reads D^n y_0, so the two routes share no table.
 
 ``derivative_tower`` reads D^n y_0 from the module table ``_TOWER``, grown on
-demand; ``taylor_coefficients`` and ``compose_series_from_table`` read it
-through ``derivative_tower``.  The table keeps rows while it holds at most
-``_TOWER_CAP`` terms; a row past the cap is built, used and not kept.
+demand; ``compose_series_from_table`` reads it through ``derivative_tower``.
+The table keeps rows while it holds at most ``_TOWER_CAP`` terms; a row past
+the cap is built, used and not kept.  ``taylor_coefficients`` keeps the rows
+divided by n! in ``_TAYLOR``, for the same orders.
 
 The same alphabet defines the umbral shift: given a weight sequence B with
 B_1 != 0, the substitution ``substitute_weights`` (y_j -> 1, x_i -> B_i * x)
@@ -160,6 +162,7 @@ class FdbPoly(Sparse):
 # evicted.
 _TOWER_CAP = 1 << 14  # terms, one per partition of each kept order
 _TOWER: list[FdbPoly] = []
+_TAYLOR: list[FdbPoly] = []  # D^n y_0 / n!, for the orders _TOWER keeps
 
 
 def derivative_tower(order: int) -> list[FdbPoly]:
@@ -176,10 +179,17 @@ def derivative_tower(order: int) -> list[FdbPoly]:
 
 
 def taylor_coefficients(order: int) -> list[FdbPoly]:
-    """Coefficients D^n y_0 / n! of the exponentiated derivation, n = 0..order."""
-    return [
-        p * Fraction(1, factorial(n)) for n, p in enumerate(derivative_tower(order))
-    ]
+    """Coefficients D^n y_0 / n! of the exponentiated derivation, n = 0..order.
+
+    Returns a fresh list.  The divided rows are kept in ``_TAYLOR`` for the
+    orders ``_TOWER`` keeps; a row past those is built, used and not kept.
+    """
+    rows = _TAYLOR[: order + 1]
+    for n, p in enumerate(derivative_tower(order)[len(rows) :], len(rows)):
+        rows.append(p * Fraction(1, factorial(n)))
+        if n == len(_TAYLOR) < len(_TOWER):
+            _TAYLOR.append(rows[-1])
+    return rows
 
 
 substitute_weights = FdbPoly.substitute_weights
@@ -188,38 +198,19 @@ substitute_weights = FdbPoly.substitute_weights
 def compose_series_direct(
     f: Sequence[Fraction | int], g: Sequence[Fraction | int], order: int
 ) -> list[QPoly]:
-    """y-coefficients of f(g(x+y)) by straight bivariate expansion.
+    """y-coefficients of f(g(x+y)) by the formal Taylor theorem.
 
-    Expands g(x+y) with the binomial theorem, substitutes into f by
-    Horner's scheme over polynomials-in-x per y-power, truncating y-degree
-    at ``order`` throughout.
+    h(x+y) = exp(y d/dx) h for the polynomial h = f(g(x)), so the y^k
+    coefficient is h^(k)(x) / k! = sum_m binom(m, k) h_m x^(m-k).  Reads no
+    table of D^n y_0.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    fq, gq = qpoly.from_coeffs(f), qpoly.from_coeffs(g)
-    # g(x+y) as y-coefficient list of x-polynomials
-    gxy: list[QPoly] = [[] for _ in range(order + 1)]
-    for m, c in enumerate(gq):
-        if not c:
-            continue
-        for i in range(min(m, order) + 1):
-            gxy[i] = qpoly.add(gxy[i], qpoly.scale(qpoly.x_power(m - i), c * comb(m, i)))
-
-    def bi_mul(a: list[QPoly], b: list[QPoly]) -> list[QPoly]:
-        out: list[QPoly] = [[] for _ in range(order + 1)]
-        for i, pa in enumerate(a):
-            if not pa:
-                continue
-            for j in range(order + 1 - i):
-                if b[j]:
-                    out[i + j] = qpoly.add(out[i + j], qpoly.mul(pa, b[j]))
-        return out
-
-    result: list[QPoly] = [[] for _ in range(order + 1)]
-    for c in reversed(fq):
-        result = bi_mul(result, gxy)
-        result[0] = qpoly.add(result[0], qpoly.const(c))
-    return result
+    h = qpoly.compose(qpoly.from_coeffs(f), qpoly.from_coeffs(g))
+    return [
+        qpoly.normalize([comb(m, k) * h[m] for m in range(k, len(h))])
+        for k in range(order + 1)
+    ]
 
 
 def compose_series_from_table(

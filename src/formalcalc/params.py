@@ -270,25 +270,17 @@ class Sparse:
         return o + (-self)
 
     def __mul__(self, other: object) -> Sparse:
-        if isinstance(other, self._SCALARS):
-            base, c = self, canonical_coeff(other)
-        else:
+        if not isinstance(other, self._SCALARS):
             o = self._coerce(other)
             if o is None:
                 return NotImplemented
-            # a lone constant term is by far the common factor; it only scales
-            a, b, unit = self._terms, o._terms, self._UNIT
-            if len(b) == 1 and unit in b:
-                base, c = self, b[unit]
-            elif len(a) == 1 and unit in a:
-                base, c = o, a[unit]
-            else:
-                return self._of(self._product(a, b))
+            return self._of(self._product(self._terms, o._terms))
+        c = canonical_coeff(other)
         if not c:
             return self._of({})
-        if c == 1:  # values are never mutated, so the factor serves as it is
-            return base
-        return self._of(_scaled(base._terms, c))
+        if c == 1:  # values are never mutated, so the polynomial serves as it is
+            return self
+        return self._of(_scaled(self._terms, c))
 
     __rmul__ = __mul__
 

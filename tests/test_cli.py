@@ -238,6 +238,12 @@ def test_umbral_bad_weights():
     assert result.returncode == 2
     assert result.stderr == "formalcalc: could not read weights from '1/0'\n"
     assert "Traceback" not in result.stderr
+    # an empty entry beside a given one would move every later weight down a place
+    for weights, position in (("1,,2", 2), ("1,2,", 3), (",1", 1), ("1, ,2", 2)):
+        result = run_cli("umbral", "--B", weights, "--depth", "2")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"formalcalc: weight {position} of {weights!r} is empty\n"
 
 
 @pytest.mark.parametrize("fmt", ("text", "json", "latex"))

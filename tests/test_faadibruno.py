@@ -1,7 +1,7 @@
 """Composite-derivative polynomials, the dual-path expansion, and umbral shifts."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from random import Random
 
 import pytest
@@ -238,6 +238,30 @@ def test_tower_table_keeps_rows_up_to_its_cap(monkeypatch):
     for order in (8, 2, 8):
         assert derivative_tower(order) == direct_tower(order)
     assert faadibruno._TOWER == direct_tower(3)
+
+
+@pytest.mark.parametrize("cap", [None, 0])
+def test_taylor_rows_cold_and_warm(monkeypatch, cap):
+    monkeypatch.setattr(faadibruno, "_TOWER", [])
+    monkeypatch.setattr(faadibruno, "_TAYLOR", [])
+    if cap is not None:
+        monkeypatch.setattr(faadibruno, "_TOWER_CAP", cap)
+    for order in (6, 3, 9, 9):  # cold, warm, grown, warm
+        want = [p * Fraction(1, factorial(n)) for n, p in enumerate(direct_tower(order))]
+        assert taylor_coefficients(order) == want, order
+    assert len(faadibruno._TAYLOR) == len(faadibruno._TOWER) == (10 if cap is None else 0)
+
+
+def test_taylor_rows_hand_out_fresh_lists(monkeypatch):
+    monkeypatch.setattr(faadibruno, "_TAYLOR", [])
+    want = taylor_coefficients(5)
+    rows = taylor_coefficients(5)
+    rows[2] = FdbPoly.zero()
+    rows.append(y(7))
+    del rows[0]
+    assert taylor_coefficients(5) == want
+    with pytest.raises(ValueError, match="nonnegative"):
+        taylor_coefficients(-1)
 
 
 def ref_umbral_shift(weights, depth):

@@ -1,16 +1,16 @@
 """Closed-form formal Taylor expansions, independent of the derivation engine.
 
-Each function here evaluates a known closed formula for a shifted power —
-``(x+y)^e``, ``log(x+y)``, ``(log(x+y))^e``, or the iterated-log power
-``l_n(x+y)^e`` — directly from its combinatorial description.  The results
-are cross-checked in the tests against ``exp_series`` of d/dx applied to
-the corresponding generator power; the two routes share no code beyond the
-algebra itself.
+With l_0 = x, l_1 = log x and l_n = log l_(n-1), the shift
+exp(y d/dx) l_n^e = l_n(x+y)^e has one closed formula for every n >= 0,
+``iterated_log_series``: n = 0 gives (x+y)^e (``binomial_series``) and
+n = 1 gives (log(x+y))^e (``log_power_series``; ``log_series`` at e = 1).
+The tests check it against ``exp_series`` of d/dx on the same power; the
+two routes share no code beyond the algebra itself.
 
-``iterated_log_series`` offers three equivalent summation formulas, each
-evaluated on the descending chains k = a_0 >= a_1 >= ... >= a_n >= 1 (for
-k = 0, the lone term l_n^e).  The chain a adds binom(e, a_n) (a_n!/k!)
-weight(a) l_n^(e - a_n) prod_{i<n} l_i^(-a_i) to y^k, with weight
+The formula sums over the descending chains k = a_0 >= a_1 >= ... >= a_n >= 1
+of y^k (for k = 0, the lone term l_n^e; for n = 0, the lone chain (k), of
+weight 1 in every form).  The chain a adds binom(e, a_n) (a_n!/k!) weight(a)
+l_n^(e - a_n) prod_{i<n} l_i^(-a_i) to y^k, with one of three weights:
 
 * ``"stirling"`` — (-1)^(a_0+a_n) prod stirling1(a_i, a_{i+1});
 * ``"chain"`` — (-1)^(a_0+a_n) stirling_chain(a_n, ..., a_0);
@@ -36,58 +36,21 @@ check.  The table keeps rows while it holds at most ``_SKELETON_CAP``
 cells (one per entry plus one per lower power); a row past the cap is
 built, used and not kept.
 
-Every closed form builds its numerators with integer coefficients: from
-``falling_row``, integer weights and factorials.  So each wraps them with
-``YSeries._of`` as they are, and none pays for ``_cleared``'s search for a
-common denominator, which would always find 1.
+The formula builds its numerators with integer coefficients, from
+``falling_row`` and integer weights.  So it wraps them with ``YSeries._of``
+as they are, and never pays for ``_cleared``'s search for a common
+denominator, which would always find 1.
 """
 
 from __future__ import annotations
 
-from math import factorial, prod
+from math import prod
 
-from .algebra import Element, Exponent, Monomial, YSeries, binom, falling_row
+from .algebra import Element, Exponent, Monomial, YSeries, falling_row
 from .combinatorics import _descending_chains, signed_esym, stirling1, stirling_chain
 from .params import Coeff, Scalar
 
 FORMS = ("stirling", "chain", "symmetric")
-
-
-def binomial_series(exponent: "Exponent | Scalar", order: int) -> YSeries:
-    """(x+y)^e to y-order N: sum_n binom(e,n) x^(e-n) y^n; numerators falling(e,n) x^(e-n)."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    e = Exponent.of(exponent)
-    den, row = falling_row(e, order)
-    return YSeries._of([Element({Monomial.gen(0, e - n): f}) for n, f in enumerate(row)], den)
-
-
-def log_series(order: int) -> YSeries:
-    """log(x+y) to order N: log x + sum (-1)^(i-1) x^-i y^i/i; numerators (-1)^(i-1) (i-1)! x^-i."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    num = [Element({Monomial.gen(0, -1 - k): (-1) ** k * factorial(k)}) for k in range(order)]
-    return YSeries._of([Element.gen(1), *num], 1)
-
-
-def log_power_series(exponent: "Exponent | Scalar", order: int) -> YSeries:
-    """(log(x+y))^e via the outer binomial over log(1 + y/x).
-
-    log(x+y) = log x + L with L = log(1+y/x) of y-valuation 1, so
-    (log(x+y))^e = sum_{j<=N} binom(e,j) (log x)^(e-j) L^j exactly
-    through y-order N.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    e = Exponent.of(exponent)
-    inner = log_series(order) - Element.gen(1)  # L = log(1+y/x), valuation 1
-    out = YSeries.zero(order)
-    lpower = YSeries.of_element(Element.one(), order)
-    for j in range(order + 1):
-        term = lpower * Element({Monomial.gen(1, e - j): binom(e, j)})
-        out = out + term
-        lpower = lpower * inner
-    return out
 
 
 # A skeleton row (see the module docstring) is a tuple of entries
@@ -137,9 +100,12 @@ def _skeleton(n: int, k: int, form: str) -> _Row:
 def iterated_log_series(
     n: int, exponent: "Exponent | Scalar", order: int, form: str = "stirling"
 ) -> YSeries:
-    """l_n(x+y)^e by one of the three closed summation formulas."""
-    if n < 1:
-        raise ValueError("tower index must be >= 1 (use binomial_series for x itself)")
+    """l_n(x+y)^e for any n >= 0 (l_0 = x), by one of the three summation formulas."""
+    if n < 0:
+        raise ValueError(
+            f"no closed-form expansion for {Monomial.gen(n, exponent)}; "
+            "negative tower indices are engine-only"
+        )
     if order < 0:
         raise ValueError("order must be nonnegative")
     if form not in FORMS:
@@ -163,6 +129,21 @@ def iterated_log_series(
     return YSeries._of(num, den)
 
 
+def binomial_series(exponent: "Exponent | Scalar", order: int) -> YSeries:
+    """(x+y)^e to y-order N: the tower formula at n = 0."""
+    return iterated_log_series(0, exponent, order)
+
+
+def log_series(order: int) -> YSeries:
+    """log(x+y) to y-order N: the tower formula at n = 1, e = 1."""
+    return iterated_log_series(1, 1, order)
+
+
+def log_power_series(exponent: "Exponent | Scalar", order: int) -> YSeries:
+    """(log(x+y))^e to y-order N: the tower formula at n = 1."""
+    return iterated_log_series(1, exponent, order)
+
+
 def closed_form_series(a: Element, order: int, form: str = "stirling") -> YSeries:
     """Expand a sum of products of nonnegative-index generator powers.
 
@@ -176,16 +157,6 @@ def closed_form_series(a: Element, order: int, form: str = "stirling") -> YSerie
     for mono, coeff in a.items():
         term = YSeries.of_element(Element.const(coeff), order)
         for index, e in mono.powers:
-            if index < 0:
-                raise ValueError(
-                    f"no closed-form expansion for {Monomial.gen(index, e)}; "
-                    "negative tower indices are engine-only"
-                )
-            factor = (
-                binomial_series(e, order)
-                if index == 0
-                else iterated_log_series(index, e, order, form)
-            )
-            term = term * factor
+            term = term * iterated_log_series(index, e, order, form)
         out = out + term
     return out

@@ -280,6 +280,18 @@ def test_index_past_the_int_digit_limit_is_a_usage_error():
     assert result.stderr == "formalcalc: line 1, column 1: index has too many digits\n"
 
 
+def test_index_past_the_tower_cap_is_a_usage_error():
+    """The closure check costs the square of the index, so a huge one is refused at parse time."""
+    start = perf_counter()
+    result = run_cli("expand", "--expr", "l_99999999999(x)", "--order", "0")
+    assert perf_counter() - start < 2.0
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == (
+        "formalcalc: line 1, column 1: index above the cap 2000 in absolute value\n"
+    )
+    assert run_cli("expand", "--expr", "l_2000(x)", "--order", "0").stdout == "l_2000(x)\n"
+
+
 def test_closed_form_refuses_exponential_tower():
     result = run_cli("expand", "--expr", "exp(x)", "--order", "2", "--via", "closed-form")
     assert result.returncode == 2

@@ -75,18 +75,22 @@ def test_log_power_series_matches_engine():
 
 
 def test_iterated_log_forms_match_engine():
-    """All three summation formulas agree with the engine for n = 1, 2, 3."""
+    """All three summation formulas agree with the engine for n = 0 (x itself) to 3."""
     r = Exponent.param("r")
-    for n in (1, 2, 3):
+    for n in (0, 1, 2, 3):
         engine = d_dx().exp_series(Element.gen(n, r), 3)
         for form in FORMS:
             assert iterated_log_series(n, r, 3, form) == engine, (n, form)
 
 
+R, S = Exponent.param("r"), Exponent.param("s")
+# symbolic, rational, negative and class-changing exponents
+EXPONENT_MENU = (R, 2 * R + Fraction(1, 3), Fraction(1, 2), Fraction(-3, 2), R - S)
+
+
 def test_closed_forms_skip_cleared(monkeypatch):
     """The closed forms build integer numerators, so none needs ``_cleared``."""
-    r, s = Exponent.param("r"), Exponent.param("s")
-    exponents = (r, 2 * r + Fraction(1, 3), Fraction(1, 2), Fraction(-3, 2), r - s)
+    exponents = EXPONENT_MENU
     order = 4
     engine = d_dx()
     log_want = engine.exp_series(Element.gen(1), order)
@@ -101,9 +105,48 @@ def test_closed_forms_skip_cleared(monkeypatch):
     assert log_series(order) == log_want
     for e in exponents:
         assert binomial_series(e, order) == want[0, e], e
-        for n in (1, 2):
+        for n in (0, 1, 2):
             for form in FORMS:
                 assert iterated_log_series(n, e, order, form) == want[n, e], (n, e, form)
+
+
+def ref_log_power_series(exponent, order):
+    """(log(x+y))^e by the outer binomial over L = log(1 + y/x), a y-series of valuation 1:
+    (log(x+y))^e = sum_{j<=N} binom(e, j) (log x)^(e-j) L^j exactly through y^N.
+    The tower formula's independent oracle at n = 1: series products, no chains."""
+    e = Exponent.of(exponent)
+    inner = YSeries(
+        [Element.zero()]
+        + [Element.gen(0, -i) * Fraction((-1) ** (i - 1), i) for i in range(1, order + 1)]
+    )
+    out = YSeries.zero(order)
+    lpower = YSeries.of_element(Element.one(), order)
+    for j in range(order + 1):
+        out = out + lpower * Element({Monomial.gen(1, e - j): binom(e, j)})
+        lpower = lpower * inner
+    return out
+
+
+@pytest.mark.parametrize("exponent", (*EXPONENT_MENU, 0, 1, -1, 3), ids=str)
+def test_log_powers_match_the_binomial_loop(exponent):
+    """n = 1 of the tower formula, every form, orders 0-8, against the series-product loop."""
+    for order in range(9):
+        want = ref_log_power_series(exponent, order)
+        assert log_power_series(exponent, order) == want, order
+        for form in FORMS:
+            assert iterated_log_series(1, exponent, order, form) == want, (order, form)
+
+
+def test_binomial_series_is_the_tower_at_index_zero():
+    """n = 0 of the tower formula, every form, orders 0-8: falling(e, k) x^(e-k) over k!."""
+    for exponent in (*EXPONENT_MENU, 0, 1, -1, 3):
+        for order in range(9):
+            want = YSeries(
+                [binom(exponent, k) * Element.gen(0, Exponent.of(exponent) - k) for k in range(order + 1)]
+            )
+            assert binomial_series(exponent, order) == want, (exponent, order)
+            for form in FORMS:
+                assert iterated_log_series(0, exponent, order, form) == want, (exponent, order, form)
 
 
 def old_iterated_log_series(n, exponent, order, form):
@@ -207,19 +250,19 @@ def test_skeleton_rows_serve_every_exponent(cold_table):
     """One warm table, exponents in sequence: each form equals the engine and the old route."""
     r = Exponent.param("r")
     for exponent in (r, Exponent.param("r", 2, -1), Fraction(1, 2), -2, 3):
-        for n in (1, 2, 3):
+        for n in (0, 1, 2, 3):
             engine = d_dx().exp_series(Element.gen(n, exponent), 5)
             for form in FORMS:
                 got = iterated_log_series(n, exponent, 5, form)
                 assert got == engine, (exponent, n, form)
                 assert got == old_iterated_log_series(n, exponent, 5, form), (exponent, n, form)
-    assert len(expansions._SKELETONS) == 3 * 3 * 6
+    assert len(expansions._SKELETONS) == 4 * 3 * 6
 
 
 def test_skeleton_rows_hold_one_entry_per_chain(cold_table):
     """Every form's row of y^k lives on the chains k = a_0 >= ... >= a_n >= 1 (y^0: a = 0),
     one entry per chain and none of weight 0."""
-    for n in range(1, 5):
+    for n in range(5):
         for k in range(7):
             chains = [(k,) + js for js in _descending_chains(n, k, 1)] if k else [(0,) * (n + 1)]
             for form in FORMS:
@@ -274,7 +317,7 @@ def test_rows_past_the_cap_give_the_same_series(cold_table, monkeypatch):
 )
 def test_iterated_log_forms_match_engine_and_old_route(exponent):
     """Every form, n <= 3, order 6: equal to the engine and to the normalising route."""
-    for n in (1, 2, 3):
+    for n in (0, 1, 2, 3):
         engine = d_dx().exp_series(Element.gen(n, exponent), 6)
         for form in FORMS:
             got = iterated_log_series(n, exponent, 6, form)

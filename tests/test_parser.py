@@ -171,6 +171,8 @@ REJECTIONS = [
     ("element", "(" * 101 + "x" + ")" * 101, "expression nested deeper than 100 levels", 102),
     pytest.param("element", "l_" + "1" * 4400 + "(x)", "index has too many digits", 1,
                  id="element-index-past-the-int-digit-limit"),
+    ("element", "1 + l_-2001(x)", "index above the cap 2000 in absolute value", 5),
+    ("fdb", "x_2001", "index above the cap 2000 in absolute value", 1),
     ("element", "l_2(r)", "generators are functions of x only", 5),
     ("element", "3/0", "zero denominator", 1),
     ("fdb", "x_0", "inner symbols are indexed from 1", 1),

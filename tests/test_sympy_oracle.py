@@ -46,6 +46,7 @@ def cases(r):
     return [
         (Element.gen(0, r), X ** rational(r)),
         (Element.gen(1), sympy.log(X)),
+        (Element.gen(1, r), sympy.log(X) ** rational(r)),
         (Element.gen(2, r), sympy.log(sympy.log(X)) ** rational(r)),
         (Element.gen(-1, r), sympy.exp(X) ** rational(r)),
     ]

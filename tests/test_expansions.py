@@ -86,6 +86,8 @@ def test_iterated_log_forms_match_engine():
 R, S = Exponent.param("r"), Exponent.param("s")
 # symbolic, rational, negative and class-changing exponents
 EXPONENT_MENU = (R, 2 * R + Fraction(1, 3), Fraction(1, 2), Fraction(-3, 2), R - S)
+# the menu and the integer exponents, where falling(e, k) vanishes or alternates
+ORACLE_EXPONENTS = (*EXPONENT_MENU, 0, 1, -1, 3)
 
 
 def test_closed_forms_skip_cleared(monkeypatch):
@@ -127,7 +129,7 @@ def ref_log_power_series(exponent, order):
     return out
 
 
-@pytest.mark.parametrize("exponent", (*EXPONENT_MENU, 0, 1, -1, 3), ids=str)
+@pytest.mark.parametrize("exponent", ORACLE_EXPONENTS, ids=str)
 def test_log_powers_match_the_binomial_loop(exponent):
     """n = 1 of the tower formula, every form, orders 0-8, against the series-product loop."""
     for order in range(9):
@@ -139,7 +141,7 @@ def test_log_powers_match_the_binomial_loop(exponent):
 
 def test_binomial_series_is_the_tower_at_index_zero():
     """n = 0 of the tower formula, every form, orders 0-8: falling(e, k) x^(e-k) over k!."""
-    for exponent in (*EXPONENT_MENU, 0, 1, -1, 3):
+    for exponent in ORACLE_EXPONENTS:
         for order in range(9):
             want = YSeries(
                 [binom(exponent, k) * Element.gen(0, Exponent.of(exponent) - k) for k in range(order + 1)]

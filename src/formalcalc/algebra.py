@@ -10,8 +10,9 @@ rational constant part).
 
 An Element is a finite sum  sum_m  c_m * prod_i  gen(i)^{e_i}  with the
 coefficients c_m exact parameter polynomials (see params), stored as plain
-rationals when no parameter appears.  Monomials multiply by merging their
-index-sorted power tuples.  A YSeries is a
+rationals when no parameter appears.  A Monomial is the tuple of its
+index-sorted ``(index, Exponent)`` pairs, so it compares and hashes in C,
+and monomials multiply by merging their pairs.  A YSeries is a
 polynomial in a central variable y of bounded degree with Element
 coefficients; it is the truncation type for exponential-of-derivation
 series, and arithmetic on series truncates to the smaller order.
@@ -42,6 +43,7 @@ from .params import (
     Scalar,
     Sparse,
     _mul_into,
+    _stored,
     as_parampoly,
     canonical_coeff,
 )
@@ -49,6 +51,8 @@ from .params import (
 
 _new = object.__new__
 _set = object.__setattr__
+_new_tuple = tuple.__new__
+_concat = tuple.__add__
 
 # The intern table: one Exponent per distinct value, keyed by the constant
 # alone when there is no parameter and by (const, linear) otherwise.
@@ -230,51 +234,34 @@ def binom(exponent: "Exponent | Scalar", n: int) -> ParamPoly:
     return as_parampoly(row[n]) * Fraction(1, den * factorial(n))
 
 
-class Monomial:
+class Monomial(tuple):
     """A product of generator powers, e.g. x^r * log(x)^-2.
 
-    ``powers`` maps generator index to exponent as sorted pairs; indices
-    with zero exponent are dropped, so the empty monomial is 1.  Instances
-    are immutable and cache their hash.
+    The tuple of its ``(index, Exponent)`` pairs sorted by index, zero
+    exponents dropped, so the empty monomial is 1; ``powers`` copies it out.
+    Exponents are interned, so monomials compare and hash as tuples, in C.
+    ``+`` and repetition raise TypeError, and every monomial is true.
     """
 
-    __slots__ = ("powers", "_hash")
+    __slots__ = ()
+    __add__ = __radd__ = __rmul__ = None
 
-    def __init__(self, powers: Iterable[tuple[int, "Exponent | Scalar"]] = ()):
+    def __new__(cls, powers: Iterable[tuple[int, "Exponent | Scalar"]] = ()) -> Monomial:
         acc: dict[int, Exponent] = {}
         for index, e in powers:
             e = Exponent.of(e)
             acc[index] = acc[index] + e if index in acc else e
-        canon = tuple(sorted((i, e) for i, e in acc.items() if e is not _ZERO))
-        _set(self, "powers", canon)
-        _set(self, "_hash", hash(canon))
+        return _new_tuple(cls, sorted((i, e) for i, e in acc.items() if e is not _ZERO))
 
-    @classmethod
-    def _from_canonical(cls, powers: tuple[tuple[int, Exponent], ...]) -> Monomial:
-        """Construct from pairs already sorted by index, merged, and nonzero."""
-        mono = _new(cls)
-        _set(mono, "powers", powers)
-        _set(mono, "_hash", hash(powers))
-        return mono
+    # construct from pairs already sorted by index, merged, and nonzero
+    _from_canonical = classmethod(tuple.__new__)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Monomial is immutable")
+    @property
+    def powers(self) -> tuple[tuple[int, Exponent], ...]:
+        return tuple(self)
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("Monomial is immutable")
-
-    def __reduce__(self) -> tuple:
-        return (Monomial, (self.powers,))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self._hash == other._hash and self.powers == other.powers
+    def __bool__(self) -> bool:
+        return True
 
     def __repr__(self) -> str:
         return f"Monomial(powers={self.powers!r})"
@@ -289,26 +276,25 @@ class Monomial:
 
     @property
     def is_one(self) -> bool:
-        return not self.powers
+        return not len(self)
 
     def __mul__(self, other: "Monomial") -> Monomial:
         """The product: one merge of the two index-sorted power tuples."""
         if not isinstance(other, Monomial):
             return NotImplemented
-        a = self.powers
-        b = other.powers
-        if not b:
+        a, b = self, other
+        na, nb = len(a), len(b)
+        if not nb:
             return self
-        if not a:
+        if not na:
             return other
         if a[-1][0] < b[0][0]:
-            return Monomial._from_canonical(a + b)
+            return _new_tuple(Monomial, _concat(a, b))
         if b[-1][0] < a[0][0]:
-            return Monomial._from_canonical(b + a)
+            return _new_tuple(Monomial, _concat(b, a))
         out = []
         sums = _SUMS
         i = j = 0
-        na, nb = len(a), len(b)
         while i < na and j < nb:
             pa = a[i]
             pb = b[j]
@@ -327,25 +313,25 @@ class Monomial:
                 j += 1
         out.extend(a[i:])
         out.extend(b[j:])
-        return Monomial._from_canonical(tuple(out))
+        return _new_tuple(Monomial, out)
 
     def exponent_of(self, index: int) -> Exponent:
-        for i, e in self.powers:
+        for i, e in self:
             if i == index:
                 return e
         return _ZERO
 
     def indices(self) -> list[int]:
-        return [i for i, _ in self.powers]
+        return [i for i, _ in self]
 
     def shift(self, offset: int) -> Monomial:
-        return Monomial._from_canonical(tuple((i + offset, e) for i, e in self.powers))
+        return _new_tuple(Monomial, [(i + offset, e) for i, e in self])
 
     def substitute(self, name: str, value: Scalar) -> Monomial:
-        return Monomial(tuple((i, e.substitute(name, value)) for i, e in self.powers))
+        return Monomial((i, e.substitute(name, value)) for i, e in self)
 
     def sort_key(self) -> tuple:
-        return tuple((i, e.sort_key()) for i, e in self.powers)
+        return tuple((i, e.sort_key()) for i, e in self)
 
     def __str__(self) -> str:
         return render.monomial(render.TEXT, self)
@@ -387,7 +373,7 @@ class Element(Sparse):
         return self._terms.get(mono, 0)
 
     def generator_indices(self) -> set[int]:
-        return {i for mono in self._terms for i, _ in mono.powers}
+        return {i for mono in self._terms for i, _ in mono}
 
     def _numerators(self) -> tuple[int, Element]:
         """(d, d * self) with d > 0 least such that every rational coefficient is an integer."""
@@ -539,7 +525,7 @@ class YSeries:
                     ta, tb = a[i]._terms, b[k - i]._terms
                     if ta and tb:
                         _mul_into(acc, ta, tb, Element._key_mul, comb(k, i))
-                out.append(Element._of(acc))
+                out.append(Element._of(_stored(acc)))
             return YSeries._of(out, self._den * other._den)
         o = Element._coerce(other)
         if o is None:

@@ -218,7 +218,7 @@ class _Kernel:
         The loops run in C over the monomial's own pairs, not the closure.
         """
         shift = [0] * len(self.indices)
-        indices, es = zip(*mono.powers) if mono.powers else ((), ())
+        indices, es = zip(*mono) if len(mono) else ((), ())
         ps = list(map(self.pos.__getitem__, indices))
         deque(map(setitem, repeat(shift), ps, map(self.entries.__getitem__, es)), 0)
         if lower is not None:
@@ -287,7 +287,8 @@ class _Kernel:
         return moves
 
     def step(self, terms: dict) -> dict:
-        """D applied to kernel terms, as raw kernel terms (see ``element``)."""
+        """D applied to kernel terms, as raw kernel terms (see ``element``),
+        summed in the loop itself: it is the engine's hottest loop."""
         out: dict[tuple, dict] = {}
         positions = self.positions
         for cls, by_shift in terms.items():
@@ -324,7 +325,9 @@ class _Kernel:
         """The Element of raw kernel terms, which it puts in stored form in place.
 
         Zero values and empty terms are dropped and integral Fractions made
-        ``int``; a packed key past the power cap raises OverflowError.
+        ``int``; a packed key past the power cap raises OverflowError.  Not
+        ``params._stored``: the same pass builds each Monomial, collects the
+        guard bits and sets ``fractions``.
         """
         acc = {}
         keys = 0

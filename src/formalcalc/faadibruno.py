@@ -43,7 +43,7 @@ from math import comb, factorial
 from typing import NamedTuple, Sequence
 
 from . import qpoly, render
-from .params import Sparse, _accumulate, canonical_coeff
+from .params import Sparse, _stored, _sum_into, canonical_coeff
 from .qpoly import QPoly
 
 # A symbol-power table: ((index, exponent), ...) sorted, exponents >= 1.
@@ -118,11 +118,9 @@ class FdbPoly(Sparse):
         out: dict[TermKey, Fraction | int] = {}
         for (ys, xs), c in self._terms.items():
             xs_x1 = _times_x1(xs)
-            for pos, (_, e) in enumerate(ys):
-                _accumulate(out, (_step(ys, pos), xs_x1), c * e)
-            for pos, (_, e) in enumerate(xs):
-                _accumulate(out, (ys, _step(xs, pos)), c * e)
-        return FdbPoly._of(out)
+            _sum_into(out, (((_step(ys, pos), xs_x1), c * e) for pos, (_, e) in enumerate(ys)))
+            _sum_into(out, (((ys, _step(xs, pos)), c * e) for pos, (_, e) in enumerate(xs)))
+        return FdbPoly._of(_stored(out))
 
     def substitute_weights(self, weights: Sequence[Fraction | int]) -> QPoly:
         """Send every y_j to 1 and every x_i to weights[i-1] * x.

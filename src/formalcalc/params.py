@@ -32,7 +32,7 @@ key layout, accessors and printing, and sets three class attributes:
 - ``_SCALARS``, the types that multiply as constants (``int`` and
   ``Fraction``, and for Element also ParamPoly);
 - ``_key_mul``, the product of two keys.  ParamPoly sets none and instead
-  overrides ``_product``, the whole term product, with an inline loop.
+  overrides ``_product``, which adds packed keys and checks guard bits.
 
 Every value is kept in stored form: a plain ``int`` when it is an integer,
 a ``Fraction`` when it is another rational, and a ParamPoly (as an Element
@@ -41,12 +41,15 @@ integer-valued polynomials multiply and add in integer arithmetic.  Zero
 values are never stored, so two sums are equal exactly when their dicts are
 equal (an ``int`` and a ``Fraction`` of the same value compare and hash
 alike, and a coefficient equals the same value held as a constant
-ParamPoly).  ``_accumulate`` is the one place where values are summed and
-put back in stored form.
+ParamPoly).  One rule keeps them so: sum raw, with ``_sum_into`` or
+``_mul_into``, then clean once with ``_stored``, which drops zeros, makes
+integral Fractions ``int`` and demotes constant ParamPolys.  The one
+exception is the derivation kernel's fused pass (``derivations._Kernel``).
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import lcm
 from typing import Any, Callable, ClassVar, Hashable, Iterable, Iterator, Mapping
@@ -109,65 +112,45 @@ def _unpack(packed: int) -> ParamKey:
 
 
 def _packed_terms(pairs: Iterable[tuple[ParamKey, object]]) -> dict[int, Coeff]:
-    acc: dict[int, Coeff] = {}
+    return _stored(_sum_into({}, ((_pack(key), canonical_coeff(value)) for key, value in pairs)))
+
+
+def _sum_into(acc: dict, pairs: Iterable[tuple[Hashable, Coeff]]) -> dict:
+    """acc[key] += value for each pair, raw; returns acc for ``_stored``."""
+    get = acc.get
     for key, value in pairs:
-        _accumulate(acc, _pack(key), canonical_coeff(value))
+        prior = get(key)
+        acc[key] = value if prior is None else prior + value
     return acc
 
 
-def _scalar_product(v: Scalar, c: Scalar) -> Scalar:
-    """v * c in stored form, for stored-form v and c."""
-    if type(v) is int:
-        if type(c) is int:
-            return v * c
-        q = Fraction(v * c.numerator, c.denominator)  # cheaper than int * Fraction
-    elif type(c) is int:
-        q = Fraction(v.numerator * c, v.denominator)
-    else:
-        q = v * c
-    return q.numerator if q.denominator == 1 else q
-
-
-def _accumulate(acc: dict, key: Hashable, c: Coeff) -> None:
-    """acc[key] += c, leaving the sum in stored form and dropping it when zero.
-
-    ``c`` is an ``int``, a ``Fraction`` or a ParamPoly in any form: an
-    integral Fraction is stored as an ``int``, a constant ParamPoly demoted.
-    """
-    prior = acc.get(key)
-    if prior is not None:
-        c = prior + c
-    kind = type(c)
-    if kind is Fraction:
-        if c.denominator == 1:
-            c = c.numerator
-    elif kind is ParamPoly:
-        c = c.demoted()
-    if c:
-        acc[key] = c
-    elif prior is not None:
-        del acc[key]
-
-
-def _mul_into(acc: dict, ta: dict, tb: dict, key_mul: Callable, scale: int = 1) -> None:
-    """acc += scale * ta * tb, where ``key_mul`` multiplies two keys."""
+def _mul_into(acc: dict, ta: dict, tb: dict, key_mul: Callable, scale: int = 1) -> dict:
+    """acc += scale * ta * tb, raw, where ``key_mul`` multiplies two keys; returns acc."""
+    get = acc.get
     for ka, ca in ta.items():
         if scale != 1:
             ca = ca * scale
         for kb, cb in tb.items():
-            _accumulate(acc, key_mul(ka, kb), ca * cb)
+            key = key_mul(ka, kb)
+            prior = get(key)
+            acc[key] = ca * cb if prior is None else prior + ca * cb
+    return acc
 
 
-def _scaled(terms: dict, c: Coeff) -> dict:
-    """c * terms for a nonzero stored-form c, in stored form."""
-    if type(c) is ParamPoly:
-        return {k: c * v for k, v in terms.items()}
-    return {
-        k: ParamPoly._of(_scaled(v._terms, c))
-        if type(v) is ParamPoly
-        else _scalar_product(v, c)
-        for k, v in terms.items()
-    }
+def _stored(acc: dict) -> dict:
+    """The raw sums of ``acc`` in stored form: zeros dropped, integral
+    Fractions made ``int`` and constant ParamPolys demoted."""
+    out = {}
+    for key, value in acc.items():
+        kind = type(value)
+        if kind is Fraction:
+            if value.denominator == 1:
+                value = value.numerator
+        elif kind is ParamPoly:
+            value = value.demoted()
+        if value:
+            out[key] = value
+    return out
 
 
 class Sparse:
@@ -201,10 +184,7 @@ class Sparse:
     @classmethod
     def from_terms(cls, pairs: Iterable[tuple[Any, object]]) -> Sparse:
         """The sum of the ``(key, value)`` pairs; a key may occur more than once."""
-        acc: dict[Any, Coeff] = {}
-        for key, value in pairs:
-            _accumulate(acc, key, canonical_coeff(value))
-        return cls._of(acc)
+        return cls._of(_stored(_sum_into({}, ((k, canonical_coeff(v)) for k, v in pairs))))
 
     @classmethod
     def zero(cls) -> Sparse:
@@ -247,10 +227,7 @@ class Sparse:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self._terms)
-        for key, value in o._terms.items():
-            _accumulate(out, key, value)
-        return self._of(out)
+        return self._of(_stored(_sum_into(dict(self._terms), o._terms.items())))
 
     __radd__ = __add__
 
@@ -280,16 +257,23 @@ class Sparse:
             return self._of({})
         if c == 1:  # values are never mutated, so the polynomial serves as it is
             return self
-        return self._of(_scaled(self._terms, c))
+        if type(c) is ParamPoly:
+            scaled = {k: v * c for k, v in self._terms.items()}
+        else:  # a rational scales each ParamPoly value's terms here, not in its __mul__
+            scaled = {
+                k: ParamPoly._of(_stored({pk: pv * c for pk, pv in v._terms.items()}))
+                if type(v) is ParamPoly
+                else v * c
+                for k, v in self._terms.items()
+            }
+        return self._of(_stored(scaled))
 
     __rmul__ = __mul__
 
     @classmethod
     def _product(cls, a: dict, b: dict) -> dict:
         """The terms of the product of two term dicts."""
-        out: dict[Any, Coeff] = {}
-        _mul_into(out, a, b, cls._key_mul)
-        return out
+        return _stored(_mul_into({}, a, b, cls._key_mul))
 
     def __pow__(self, n: int) -> Sparse:
         if not isinstance(n, int) or n < 0:
@@ -340,20 +324,10 @@ class ParamPoly(Sparse):
     @staticmethod
     def _product(a: dict, b: dict) -> dict:
         """The product terms: each key product is one addition of packed keys."""
-        out: dict[int, Scalar] = {}
-        get = out.get
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                key = ka + kb
-                prior = get(key)
-                out[key] = ca * cb if prior is None else prior + ca * cb
+        out = _mul_into({}, a, b, operator.add)
         if _or_keys(out) & _GUARDS:
             raise _cap_error()
-        return {
-            k: v.numerator if type(v) is Fraction and v.denominator == 1 else v
-            for k, v in out.items()
-            if v
-        }
+        return _stored(out)
 
     def items(self) -> Iterator[tuple[ParamKey, Scalar]]:
         """(ParamKey, value) pairs with the values as stored."""
@@ -398,12 +372,9 @@ class ParamPoly(Sparse):
         offset = _SHIFTS.get(name)
         if offset is None:
             return self
-        v = Fraction(value)
-        acc: dict[int, Coeff] = {}
-        for key, coeff in self._terms.items():
-            power = (key >> offset) & POWER_CAP
-            _accumulate(acc, key - (power << offset), coeff * v**power)
-        return ParamPoly._of(acc)
+        v, field = Fraction(value), POWER_CAP << offset
+        terms = ((k & ~field, c * v ** ((k & field) >> offset)) for k, c in self._terms.items())
+        return ParamPoly._of(_stored(_sum_into({}, terms)))
 
     def __str__(self) -> str:
         return render.parampoly(render.TEXT, self)

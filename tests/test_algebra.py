@@ -198,13 +198,17 @@ def test_element_strings():
 
 def assert_stored_coefficients(a: Element) -> None:
     """Every raw coefficient is nonzero: an int when integral, a Fraction
-    when another rational, and a ParamPoly only when a parameter appears."""
+    when another rational, and a ParamPoly only when a parameter appears,
+    its own values held the same way."""
     for _, c in a.items():
         assert c, a
         if isinstance(c, ParamPoly):
             assert c.parameters(), a
+            values = [v for _, v in c.items()]
         else:
-            assert type(c) is (int if c.denominator == 1 else Fraction), a
+            values = [c]
+        for v in values:
+            assert v and type(v) is (int if v.denominator == 1 else Fraction), a
 
 
 def test_element_ring_laws_random():
@@ -213,6 +217,9 @@ def test_element_ring_laws_random():
     for a, want in (
         (parse_element("1/2*x + 1/2*x"), x),
         (parse_element("3/2*x") * parse_element("2/3*x"), x * x),
+        (parse_element("(r + 1/2)*x") - parse_element("r*x"), x * Fraction(1, 2)),
+        (parse_element("(r + 1)*x") * parse_element("x") - parse_element("r*x^2"), x * x),
+        (parse_element("r*x") * ParamPoly.param("r") - parse_element("(r^2 - 2)*x"), x * 2),
     ):
         assert a == want
         assert_stored_coefficients(a)
@@ -226,7 +233,11 @@ def test_element_ring_laws_random():
         assert a * (b + c) == a * b + a * c
         assert a ** 3 == a * a * a
         assert a - a == 0
-        for value in (a + b, a * b, a ** 2):
+        # scalings that turn values integral, and ParamPoly values that turn constant
+        ra = a * (ParamPoly.param("r") + Fraction(1, 2))
+        thirds = ((a * Fraction(1, 3)) * 3, (ra * Fraction(1, 3)) * 3)
+        assert thirds == (a, ra)
+        for value in (a + b, a * b, a ** 2, *thirds, ra - a * ParamPoly.param("r")):
             assert_stored_coefficients(value)
 
 
@@ -250,6 +261,8 @@ def test_yseries_product_truncates():
     assert p.order == 1
     assert p.coefficient(0) == x * x
     assert p.coefficient(1) == Element.const(2) * x
+    q = s * YSeries([x, -Element.one()])  # (x + y)(x - y): the y term cancels
+    assert q.coefficient(1) == Element.zero()
 
 
 def test_yseries_string():

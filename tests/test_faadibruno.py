@@ -84,7 +84,8 @@ def test_fdbpoly_arithmetic():
     # one storage rule (params.canonical_coeff): int when integral, Fraction otherwise
     parsed = parse_fdb("2*y_1*x_1 + y_2")
     decoded = fdbpoly_from_json(fdbpoly_to_json(derivative_tower(4)[4]))
-    for poly in (parsed, decoded, parsed * parsed, p * p, taylor_coefficients(1)[1]):
+    derived = (x(1) ** 2 * Fraction(1, 2)).derive()  # Fraction(1, 2) * 2 is stored as 1
+    for poly in (parsed, decoded, parsed * parsed, p * p, taylor_coefficients(1)[1], derived):
         assert all(type(c) is int for _, c in poly.items()), poly
     half = p * Fraction(1, 2)
     assert {type(c) for _, c in half.items()} == {Fraction, int}

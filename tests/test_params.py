@@ -166,6 +166,9 @@ def test_arithmetic_matches_sympy():
             (a * c, sa * sc),
             (c * a, sa * sc),
             (a + c, sa + sc),
+            ((a * Fraction(2, 3)) * (b * Fraction(3, 2)), sa * sb),
+            (a.substitute("r", c), sa.subs(symbols["r"], sc)),
+            (a.substitute("s", c), sa.subs(symbols["s"], sc)),
             *((a ** k, sa ** k) for k in range(4)),
         ):
             assert sympy.expand(to_sympy(got) - want) == 0, (a, b, c)

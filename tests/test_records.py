@@ -6,7 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from formalcalc import IndexShift, UmbralShift, VerifyReport, parse, parse_element, umbral_shift
+from formalcalc import (
+    Exponent,
+    IndexShift,
+    Monomial,
+    UmbralShift,
+    VerifyReport,
+    parse,
+    parse_element,
+    umbral_shift,
+)
 from formalcalc.parser import _tokenize
 
 
@@ -50,6 +59,13 @@ FROZEN = {
         "Token(kind='ysym', text='y_2', column=1)",
         "text",
     ),
+    "Monomial": (
+        lambda: Monomial(((1, Exponent.param("r", 2, -1)), (0, Fraction(1, 2)))),
+        Monomial(((1, Exponent.param("r", 2, -1)),)),
+        "Monomial(powers=((0, Exponent(const=Fraction(1, 2), linear=())), "
+        "(1, Exponent(const=-1, linear=(('r', 2),)))))",
+        "powers",
+    ),
 }
 
 
@@ -64,6 +80,19 @@ def test_frozen_record(make, other, text, field):
     with pytest.raises(AttributeError):
         setattr(record, field, None)
     assert repr(record) == text
+
+
+def test_monomial_is_a_value_not_a_sequence():
+    """The tuple base adds no arithmetic, and the unit monomial is true."""
+    m = Monomial.gen(0, Exponent.param("r")) * Monomial.gen(2, -1)
+    for op in (lambda: m + m, lambda: m * 2, lambda: 2 * m, lambda: m.powers + m):
+        with pytest.raises(TypeError):
+            op()
+    assert bool(Monomial.one()) and Monomial.one().is_one and not m.is_one
+    back = _round_trip(m)
+    assert [e for _, e in back.powers] and all(
+        b is e for (_, b), (_, e) in zip(back.powers, m.powers)
+    )
 
 
 def test_verify_report_defaults_and_summary():

@@ -476,8 +476,9 @@ class YSeries:
         return [self.coefficient(k) for k in range(len(self._num))]
 
     def map(self, f: Callable[[Element], Element]) -> YSeries:
-        """The series with coefficients f(c_k), for a map f linear over the rationals."""
-        return YSeries.divided([f(n) for n in self._num], self._den)
+        """The series with coefficients f(c_k), for a map f linear over the rationals; its
+        numerators stay integer-valued if f keeps them so, and its values are right either way."""
+        return YSeries._of([f(n) for n in self._num], self._den)
 
     def truncate(self, order: int) -> YSeries:
         if order < 0:
@@ -508,12 +509,10 @@ class YSeries:
         return YSeries._of([-c for c in self._num], self._den)
 
     def __sub__(self, other: object) -> YSeries:
-        if isinstance(other, YSeries):
-            return self + (-other)
-        o = Element._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self + -other
+
+    def __rsub__(self, other: object) -> YSeries:
+        return -self + other
 
     def __mul__(self, other: object) -> YSeries:
         if isinstance(other, YSeries):

@@ -5,21 +5,24 @@ indices in a narrow window, exponents a few units either side of zero, and
 coefficients from a short menu of nonzero rationals.  Identity failures in
 this algebra show up at tiny sizes; what matters is exercising the sign
 and index bookkeeping, not bulk.
+
+``qpoly`` and ``faadibruno`` are imported only inside ``random_qpoly`` and
+``verify_composition``, so the element sweeps load no Faa di Bruno code.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from random import Random
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from . import qpoly
 from .algebra import Element, Exponent, Monomial
 from .derivations import Derivation, d_dx, x_d_dx
-from .faadibruno import ConsistencyError, compose_expansion
 from .params import ParamPoly
-from .qpoly import QPoly
 from .report import VerifyReport, sweep
+
+if TYPE_CHECKING:
+    from .qpoly import QPoly
 
 _COEFFS = (
     Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -65,6 +68,8 @@ def random_element(
 
 def random_qpoly(rng: Random, max_degree: int, allow_zero: bool = True) -> QPoly:
     """Dense rational polynomial with small integer coefficients."""
+    from . import qpoly
+
     degree = rng.randrange(0, max_degree + 1)
     coeffs = [rng.randrange(-3, 4) for _ in range(degree + 1)]
     if not allow_zero and not any(coeffs):
@@ -104,6 +109,9 @@ def verify_composition(
     trials: int = 100, max_degree: int = 6, order: int = 8, seed: int = 13
 ) -> VerifyReport:
     """Dual-path composite expansion on random polynomial pairs."""
+    from . import qpoly
+    from .faadibruno import ConsistencyError, compose_expansion
+
     rng = Random(seed)
 
     def outcomes() -> Iterator[str | None]:

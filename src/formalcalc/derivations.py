@@ -107,8 +107,6 @@ class Derivation:
         frontier = set(a.generator_indices())
         while frontier:
             index = frontier.pop()
-            if index in seen:
-                continue
             seen.add(index)
             img = self.image(index)  # raises ClosureError if missing
             frontier.update(img.generator_indices() - seen)
@@ -200,7 +198,6 @@ class _Kernel:
         self.entries = _Entries(unit)
         self.ratios: dict[int, list] = {}  # position -> terms of D(l_i)/l_i
         self.plans: dict[tuple, tuple] = {}  # class -> see _plan
-        self.merges: dict[tuple, tuple] = {}  # (class, class part) -> (class, carry)
         self.monos: dict[tuple, dict] = {}  # class -> {shift: Monomial}
         self.fractions = False  # whether some value built so far is a Fraction
 
@@ -240,21 +237,17 @@ class _Kernel:
 
     def _merge(self, cls: tuple, part: tuple) -> tuple:
         """(class, carry vector) of a class times a class part: integer parts carry."""
-        key = (cls, part)
-        hit = self.merges.get(key)
-        if hit is None:
-            exps = dict(cls)
-            carry = [0] * len(self.indices)
-            for p, e in part:
-                total = exps.pop(p, None)
-                total = e if total is None else total + e
-                n = floor(total.const)
-                carry[p] = n * self.unit
-                rest = total - n
-                if not rest.is_zero:
-                    exps[p] = rest
-            hit = self.merges[key] = (tuple(sorted(exps.items())), tuple(carry))
-        return hit
+        exps = dict(cls)
+        carry = [0] * len(self.indices)
+        for p, e in part:
+            total = exps.pop(p, None)
+            total = e if total is None else total + e
+            n = floor(total.const)
+            carry[p] = n * self.unit
+            rest = total - n
+            if not rest.is_zero:
+                exps[p] = rest
+        return tuple(sorted(exps.items())), tuple(carry)
 
     def _plan(self, cls: tuple) -> tuple:
         """(moves by pair key, power pairs by pair key, selector mask) of a class.

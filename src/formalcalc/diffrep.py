@@ -7,7 +7,8 @@ makes the exponential of x*d/dx computable from the exponential of d/dx:
     exp(y x d/dx) a  =  shift(1) exp(y d/dx) shift(-1) a,
 
 which is ``lifted_exp`` below.  ``verify_intertwining`` checks the two
-operator identities on a window of generators and on random products.
+operator identities on a window of generators and on random products from
+``checks.random_element``, imported when the sweep runs.
 """
 
 from __future__ import annotations
@@ -15,20 +16,18 @@ from __future__ import annotations
 from random import Random
 from typing import Iterator, NamedTuple
 
-from .algebra import Element, Monomial, YSeries
+from .algebra import Element, YSeries
 from .derivations import d_dx, x_d_dx
 from .report import VerifyReport, sweep
 
 
 class IndexShift(NamedTuple):
-    """The algebra map l_n -> l_{n+offset}, applied to whole elements."""
+    """The algebra map l_n -> l_{n+offset}: monomials relabelled, coefficients as stored."""
 
     offset: int
 
     def __call__(self, a: Element) -> Element:
-        return Element.from_terms(
-            (mono.shift(self.offset), coeff) for mono, coeff in a.items()
-        )
+        return Element._of({mono.shift(self.offset): c for mono, c in a.items()})
 
     def inverse(self) -> IndexShift:
         return IndexShift(-self.offset)
@@ -45,27 +44,17 @@ def lifted_exp(a: Element, order: int) -> YSeries:
     return d_dx().exp_series(down(a), order).map(up)
 
 
-def _random_product(rng: Random, max_index: int) -> Element:
-    """A small random product of generator powers (nonzero by construction)."""
-    factors = rng.randrange(1, 4)
-    mono = Monomial.one()
-    for _ in range(factors):
-        index = rng.randrange(-max_index, max_index + 1)
-        exponent = rng.choice([-2, -1, 1, 2, 3])
-        mono = mono * Monomial.gen(index, exponent)
-    scale = rng.choice([1, -1, 2])
-    return Element.const(scale) * Element({mono: 1})
-
-
 def verify_intertwining(
     max_index: int = 6, product_trials: int = 20, seed: int = 7
 ) -> VerifyReport:
     """Check shift(1) d/dx = (x d/dx) shift(1) and its inverse twin.
 
     Both identities are checked on every generator with |index| <=
-    max_index and on ``product_trials`` random products of generator
-    powers drawn from the same window.
+    max_index and on ``product_trials`` random products of one to three
+    generator powers drawn from the same window.
     """
+    from .checks import random_element
+
     up, down = IndexShift(1), IndexShift(-1)
     ddx, xddx = d_dx(), x_d_dx()
 
@@ -82,7 +71,9 @@ def verify_intertwining(
             yield from both_hold(Element.gen(index), f"generator l_{index}")
         rng = Random(seed)
         for _ in range(product_trials):
-            a = _random_product(rng, max_index)
+            a = random_element(
+                rng, max_terms=1, max_factors=3, index_window=(-max_index, max_index)
+            )
             yield from both_hold(a, a)
 
     return sweep("intertwine", outcomes())

@@ -153,13 +153,7 @@ def fdbpoly_from_json(data: list[dict[str, Any]]) -> FdbPoly:
 
 
 def report_to_json(r: VerifyReport) -> dict[str, Any]:
-    return {
-        "kind": "verify",
-        "check": r.check,
-        "passed": r.passed,
-        "cases": r.cases,
-        "counterexample": r.counterexample,
-    }
+    return {"kind": "verify", **r._asdict()}
 
 
 def series_doc(command: str, expr: str, series: YSeries) -> dict[str, Any]:

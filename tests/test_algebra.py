@@ -252,6 +252,13 @@ def test_yseries_basics():
     assert t.coefficient(1) == Element.const(2)
     assert (s * Fraction(1, 2)).coefficient(0) == x * Fraction(1, 2)
     assert s.truncate(1).order == 1
+    # a scalar or an Element on either side of + and -
+    one, zero = Element.one(), Element.zero()
+    for c in (1, Fraction(1, 2), Element.gen(1)):
+        assert (c - s).coefficients() == [c - x, -one, zero]
+        assert (s - c).coefficients() == [x - c, one, zero]
+        assert (s + c).coefficients() == [x + c, one, zero] == (c + s).coefficients()
+    assert not YSeries.zero(2) and s
 
 
 def test_yseries_product_truncates():

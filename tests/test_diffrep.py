@@ -6,10 +6,20 @@ from random import Random
 
 import pytest
 
-from formalcalc.algebra import Element, Exponent
+from formalcalc.algebra import Element, Exponent, YSeries
 from formalcalc.checks import random_element
 from formalcalc.derivations import d_dx, x_d_dx
 from formalcalc.diffrep import IndexShift, lifted_exp, verify_intertwining
+
+
+def _mixed_elements(rng, count):
+    """Random elements with integer, rational and symbolic exponents, in turn."""
+    for k in range(count):
+        a = random_element(rng, params=("r",) if k % 3 == 2 else ())
+        if k % 3 == 1:
+            e = Fraction(rng.choice((1, -1)), rng.choice((2, 3)))
+            a = a * Element.gen(rng.randrange(-3, 4), e)
+        yield a
 
 
 def test_shift_on_generators():
@@ -27,6 +37,18 @@ def test_shift_inverse():
         a = random_element(rng, params=("r",))
         assert down(up(a)) == a
         assert up(down(a)) == a
+
+
+def test_shift_moves_stored_coefficients_unchanged():
+    """The shift relabels monomials only: from_terms of the shifted pairs,
+    which re-canonicalises and sums, builds the same terms, value types too."""
+    rng = Random(15)
+    for a in _mixed_elements(rng, 18):
+        for k in (-2, -1, 1, 3):
+            shifted = IndexShift(k)(a)
+            built = Element.from_terms((mono.shift(k), c) for mono, c in a.items())
+            assert shifted._terms == built._terms
+            assert [type(c) for _, c in shifted.items()] == [type(c) for _, c in built.items()]
 
 
 def test_shift_is_ring_map():
@@ -64,6 +86,12 @@ def test_lifted_exp_matches_direct_engine():
     for _ in range(15):
         a = random_element(rng)
         assert lifted_exp(a, 4) == x_d_dx().exp_series(a, 4)
+    for a in _mixed_elements(rng, 12):
+        lifted = lifted_exp(a, 4)
+        assert lifted == x_d_dx().exp_series(a, 4)
+        # the shifted numerators are already cleared: divided finds nothing to clear
+        cleared = YSeries.divided(lifted._num, lifted._den)
+        assert (cleared._num, cleared._den) == (lifted._num, lifted._den)
 
 
 def test_lifted_exp_of_x():

@@ -90,7 +90,10 @@ def test_element_codec_random():
 def test_yseries_codec():
     rng = Random(43)
     series = d_dx().exp_series(random_element(rng, params=("r",)), 4)
-    assert yseries_from_json(json.loads(dumps({"x": yseries_to_json(series)}))["x"]) == series
+    doc = json.loads(dumps({"x": yseries_to_json(series)}))["x"]
+    assert yseries_from_json(doc) == series
+    with pytest.raises(ValueError, match="order disagrees"):
+        yseries_from_json({**doc, "order": doc["order"] + 1})
 
 
 def test_qpoly_and_fdb_codecs():

@@ -67,7 +67,14 @@ CASES = {
     ),
     "lift-latex": (["--format", "latex", "lift", "--expr", "x", "--order", "2"], {"jsonio", "faadibruno"}),
     "verify-lubell": (["verify", "lubell", "--max", "3"], {"algebra", "parser", "jsonio"}),
-    "verify-automorphism": (["verify", "automorphism", "--trials", "1", "--order", "1"], {"parser"}),
+    "verify-automorphism": (
+        ["verify", "automorphism", "--trials", "1", "--order", "1"],
+        {"parser", "faadibruno", "qpoly"},
+    ),
+    "verify-intertwine": (
+        ["verify", "intertwine", "--max-index", "1", "--trials", "1"],
+        {"parser", "faadibruno", "qpoly"},
+    ),
     "fdb-json": (["--format", "json", "faa-di-bruno", "--order", "2"], {"parser", "latexio"}),
     "umbral-latex": (["--format", "latex", "umbral", "--B", "1,1", "--depth", "2"], {"parser", "jsonio"}),
 }

@@ -8,7 +8,7 @@ bounds leave no case raises instead of passing.
 
 import pytest
 
-from formalcalc import checks, cli, combinatorics, diffrep, latexio
+from formalcalc import checks, cli, combinatorics, diffrep, faadibruno, latexio
 from formalcalc.algebra import Element, YSeries
 from formalcalc.derivations import Derivation, d_dx, x_d_dx
 from formalcalc.faadibruno import ConsistencyError, compose_expansion
@@ -49,7 +49,8 @@ def test_composition_sweep_stops_at_first_failure(monkeypatch):
             raise ConsistencyError("planted")
         return compose_expansion(f, g, order)
 
-    monkeypatch.setattr(checks, "compose_expansion", fourth_call_fails)
+    # checks imports compose_expansion when the sweep runs, from faadibruno
+    monkeypatch.setattr(faadibruno, "compose_expansion", fourth_call_fails)
     report = checks.verify_composition(trials=10, max_degree=1, order=3, seed=79)
     assert report.passed is False
     assert report.cases == 4

@@ -256,6 +256,10 @@ class Monomial(tuple):
     # construct from pairs already sorted by index, merged, and nonzero
     _from_canonical = classmethod(tuple.__new__)
 
+    def __reduce__(self) -> tuple:
+        # the pairs as they are: loading does not sort them again
+        return (_monomial, tuple(self))
+
     @property
     def powers(self) -> tuple[tuple[int, Exponent], ...]:
         return tuple(self)
@@ -335,6 +339,11 @@ class Monomial(tuple):
 
     def __str__(self) -> str:
         return render.monomial(render.TEXT, self)
+
+
+def _monomial(*pairs: tuple[int, Exponent]) -> Monomial:
+    """Load a pickled Monomial: its pairs are already canonical."""
+    return _new_tuple(Monomial, pairs)
 
 
 _ONE = Monomial()
@@ -453,6 +462,9 @@ class YSeries:
         out = _new(cls)
         out._num, out._den = num, den
         return out
+
+    def __reduce__(self) -> tuple:
+        return (YSeries._of, (self._num, self._den))
 
     @classmethod
     def zero(cls, order: int) -> YSeries:

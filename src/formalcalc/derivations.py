@@ -303,7 +303,7 @@ class _Kernel:
                             dest = out.get(target)
                             if dest is None:
                                 dest = out[target] = {}
-                        moved = tuple(map(add, shift, delta))
+                        moved = (*map(add, shift, delta),)
                         acc = dest.get(moved)
                         if acc is None:
                             acc = dest[moved] = {}
@@ -363,7 +363,7 @@ class _Kernel:
         """The Monomial of one (class, shift), its pairs looked up, never built, in C."""
         _, pairs, mask = self._plan(cls)
         keys = compress(map(add, shift, self.positions), shift if mask is None else map(or_, shift, mask))
-        return Monomial._from_canonical(tuple(map(pairs.__getitem__, keys)))
+        return Monomial._from_canonical((*map(pairs.__getitem__, keys),))
 
 
 # The longest runs of tower pairs built so far: (i, -1) for i = 0, 1, ... and

@@ -6,10 +6,9 @@ term is a polynomial in ``r`` with rational coefficients (e.g.
 ``1/2*r^2 - 1/2*r``); keeping those polynomials exact is what lets
 identities be checked by equality instead of by numerical comparison.  A
 ParamPoly maps a parameter monomial to its value.  In public (``__init__``,
-``from_terms``, ``items``, ``sorted_items``, printing, JSON and pickles) a
-parameter monomial is a ``ParamKey``: a tuple of ``(name, power)`` pairs
-sorted by name with all powers >= 1, the empty tuple being the constant
-monomial.
+``from_terms``, ``items``, ``sorted_items``, printing and JSON) a parameter
+monomial is a ``ParamKey``: a tuple of ``(name, power)`` pairs sorted by
+name with all powers >= 1, the empty tuple being the constant monomial.
 
 Inside, a parameter monomial is one packed ``int`` (the packed monomials
 of Monagan and Pearce, "Sparse polynomial division using a heap", J. Symb.
@@ -21,7 +20,8 @@ exceeds ``POWER_CAP`` = 2^63 - 1 sets a guard bit, before any carry can
 reach a neighbouring field, and raises OverflowError naming the cap.  The
 slot table holds one entry per distinct parameter name and is never
 emptied.  Slots never leak out: the public forms unpack to names, so
-printing orders parameters by name whatever order they were met in.
+printing orders parameters by name whatever order they were met in.  A
+pickle names its slots, and ``_unpickle`` maps them to the loader's.
 
 ``Sparse`` is the one sparse-polynomial core: a dict from key to value that
 ParamPoly, ``algebra.Element`` and ``faadibruno.FdbPoly`` share.  It owns
@@ -65,12 +65,13 @@ _FIELD = 64  # bits per parameter slot: the power, then one guard bit
 POWER_CAP = (1 << (_FIELD - 1)) - 1  # the largest power a parameter may carry
 _SHIFTS: dict[str, int] = {}  # parameter name -> bit offset of its field
 _BY_NAME: list[tuple[str, int]] = []  # (name, offset), sorted by name
+_NAMES: tuple[str, ...] = ()  # the registered names in slot order
 _GUARDS = 0  # the guard bit of every registered field
 
 
 def _shift(name: str) -> int:
     """The bit offset of the field of ``name``, registering the name on first use."""
-    global _GUARDS
+    global _GUARDS, _NAMES
     offset = _SHIFTS.get(name)
     if offset is None:
         if not name:
@@ -78,6 +79,7 @@ def _shift(name: str) -> int:
         offset = _SHIFTS[name] = _FIELD * len(_SHIFTS)
         _BY_NAME.append((name, offset))
         _BY_NAME.sort()
+        _NAMES = (*_SHIFTS,)
         _GUARDS |= 1 << (offset + _FIELD - 1)
     return offset
 
@@ -153,6 +155,11 @@ def _stored(acc: dict) -> dict:
     return out
 
 
+def _load(cls: type[Sparse], terms: dict) -> Sparse:
+    """Load a pickled Sparse: its terms are already in stored form."""
+    return cls._of(terms)
+
+
 class Sparse:
     """A finite sum of keyed terms whose values are nonzero and in stored form.
 
@@ -180,6 +187,9 @@ class Sparse:
         out = object.__new__(cls)
         out._terms = terms
         return out
+
+    def __reduce__(self) -> tuple:
+        return (_load, (type(self), self._terms))
 
     @classmethod
     def from_terms(cls, pairs: Iterable[tuple[Any, object]]) -> Sparse:
@@ -314,8 +324,9 @@ class ParamPoly(Sparse):
         return cls._of(_packed_terms(pairs))
 
     def __reduce__(self) -> tuple:
-        # pickle names, not slots: another process may number the names otherwise
-        return (ParamPoly, (dict(self.items()),))
+        # the packed terms and the names of their slots: another process may
+        # number the names otherwise (pickles of ParamPoly(dict) still load)
+        return (_unpickle, (_NAMES, self._terms))
 
     @classmethod
     def param(cls, name: str) -> ParamPoly:
@@ -389,6 +400,27 @@ def _or_keys(terms: dict[int, object]) -> int:
     for key in terms:
         out |= key
     return out
+
+
+def _unpickle(names: tuple[str, ...], terms: dict[int, Scalar]) -> ParamPoly:
+    """Load a pickled ParamPoly whose keys use the slots of ``names``.
+
+    Only the names that some key uses are registered here.  The dict is
+    wrapped as it is when each of them has the same slot here, and its keys
+    are repacked to the slots here otherwise.
+    """
+    moves, used = [], _or_keys(terms)
+    while used:  # the lowest nonzero field, its offset there and here
+        there = (used & -used).bit_length() - 1
+        there -= there % _FIELD
+        moves.append((there, _shift(names[there // _FIELD])))
+        used &= -1 << (there + _FIELD)
+    if any(there != here for there, here in moves):
+        terms = {
+            sum(((k >> there) & POWER_CAP) << here for there, here in moves): v
+            for k, v in terms.items()
+        }
+    return ParamPoly._of(terms)
 
 
 Coeff = int | Fraction | ParamPoly

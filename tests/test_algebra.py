@@ -1,6 +1,8 @@
 """Exponents, monomials, elements, and truncated y-series."""
 
+import copy
 import pickle
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -10,6 +12,7 @@ from formalcalc.algebra import Element, Exponent, Monomial, YSeries, binom, gen_
 from formalcalc import jsonio
 from formalcalc.checks import random_element, random_exponent
 from formalcalc.derivations import d_dx
+from formalcalc.faadibruno import derivative_tower
 from formalcalc.params import ParamPoly
 from formalcalc.parser import parse_element
 
@@ -95,15 +98,102 @@ def test_pickle_round_trip_keeps_interned_exponents():
         a,
         ParamPoly.param("r") ** 2 * Fraction(1, 3) - ParamPoly.param("s"),
         d_dx().exp_series(a, 3),
+        derivative_tower(4)[4],
+        Monomial.one(),
+    ]
+    copies = [copy.copy, copy.deepcopy]
+    copies += [
+        lambda v, p=protocol: pickle.loads(pickle.dumps(v, p))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
     ]
     for value in values:
-        back = pickle.loads(pickle.dumps(value))
-        assert back == value
-        assert str(back) == str(value)
-        mine = _exponents(value)
-        theirs = _exponents(back)
-        assert len(mine) == len(theirs)
-        assert all(x is y for x, y in zip(mine, theirs))
+        for how in copies:
+            back = how(value)
+            assert type(back) is type(value)
+            assert back == value
+            assert str(back) == str(value)
+            mine = _exponents(value)
+            theirs = _exponents(back)
+            assert len(mine) == len(theirs)
+            assert all(x is y for x, y in zip(mine, theirs))
+
+
+# pickle.dumps, at protocol 4, of the four values of the test below, as
+# written before values pickled their stored parts
+OLD_PICKLE = (
+    "8004952d03000000000000288c11666f726d616c63616c632e706172616d73948c095061"
+    "72616d506f6c799493947d94288c0172944b02869485948c096672616374696f6e73948c"
+    "084672616374696f6e9493944b014b03869452948c0173944b01869485944afbffffff29"
+    "4b0775859452948c12666f726d616c63616c632e616c6765627261948c084d6f6e6f6d69"
+    "616c9493944b0068118c084578706f6e656e749493944affffffff68044b028694859486"
+    "94529486944b01681568094b014b0286945294298694529486944b0268154b0329869452"
+    "94869487948594819468118c07456c656d656e749493942981944e7d948c065f7465726d"
+    "73947d942868134b00681986944b01681568094affffffff4b0386945294298694529486"
+    "9486948594819468027d942868044b01869485944b012968094b014b0286945294758594"
+    "529468134b0268154b008c0172944b0186948c0173944b01869486948694529486948594"
+    "8594819468027d94680c4b01869485944b017385945294757386946268118c0759536572"
+    "6965739493942981944e7d94288c045f6e756d945d942868272981944e7d94682a7d9468"
+    "134b0068154b00683c4b01869485948694529486944b0168154affffffff298694529486"
+    "9486948594819468027d94680c4b01869485944b01738594529473738694626827298194"
+    "4e7d94682a7d942868134b0068154affffffff68578694529486944b01685c8694869485"
+    "94819468027d9468044b018694680c4b01869486944b0173859452946813686c4b016815"
+    "4afeffffff2986945294869486948594819468027d94680c4b01869485944affffffff73"
+    "85945294757386946268272981944e7d94682a7d942868134b0068154afeffffff685786"
+    "9452948694686d86948594819468027d942868044b018694680c4b01869486944affffff"
+    "ff68044b028694680c4b01869486944b0175859452946813688868798694859481946802"
+    "7d942868044b018694680c4b01869486944afeffffff680c4b01869485944b0175859452"
+    "94681368884b0168154afdffffff2986945294869486948594819468027d94680c4b0186"
+    "9485944b0273859452947573869462658c045f64656e944b017586946274942e"
+)
+
+
+def test_pickles_written_by_1f68717_still_load():
+    """The old reducers' pickles load equal, with interned exponents.
+
+    OLD_PICKLE was printed by the code of commit 1f68717, unpacked by
+    ``git archive 1f68717 | tar -x -C DIR``, with::
+
+        PYTHONPATH=DIR/src python3 -c "
+        import pickle; from fractions import Fraction
+        from formalcalc import ParamPoly, d_dx
+        from formalcalc.algebra import Exponent, Monomial
+        from formalcalc.parser import parse_element
+        r, s = ParamPoly.param('r'), ParamPoly.param('s')
+        print(pickle.dumps((
+            r**2*Fraction(1, 3) - s*5 + 7,
+            Monomial(((0, Exponent.param('r', 2, -1)), (1, Fraction(1, 2)), (2, 3))),
+            parse_element('(r + 1/2)*x^(2*r - 1)*log(x)^(-1/3) + s*l_2(x)^(r + s)'),
+            d_dx().exp_series(parse_element('s*x^r*log(x)^(-1)'), 2),
+        )).hex())"
+    """
+    r, s = ParamPoly.param("r"), ParamPoly.param("s")
+    want = (
+        r**2 * Fraction(1, 3) - s * 5 + 7,
+        Monomial(((0, Exponent.param("r", 2, -1)), (1, Fraction(1, 2)), (2, 3))),
+        parse_element("(r + 1/2)*x^(2*r - 1)*log(x)^(-1/3) + s*l_2(x)^(r + s)"),
+        d_dx().exp_series(parse_element("s*x^r*log(x)^(-1)"), 2),
+    )
+    got = pickle.loads(bytes.fromhex("".join(OLD_PICKLE)))
+    assert [type(v) for v in got] == [type(v) for v in want]
+    assert got == want
+    assert [str(v) for v in got] == [str(v) for v in want]
+    for mine, theirs in zip(want, got):
+        assert all(x is y for x, y in zip(_exponents(mine), _exponents(theirs), strict=True))
+
+
+def test_pickle_dump_allocates_little_beyond_its_bytes():
+    """Dumping a series passes its stored parts by reference: the tracemalloc
+    peak stays under 8 times the pickle's length (about 23 times when every
+    coefficient was unpacked to name tuples and every monomial re-sorted)."""
+    series = d_dx().exp_series(parse_element("l_3(x)^r*exp(x)^s"), 8)
+    size = len(pickle.dumps(series))
+    tracemalloc.start()
+    try:
+        pickle.dumps(series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * size, (peak, size)
 
 
 def test_exponent_scaling_guards():

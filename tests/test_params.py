@@ -11,7 +11,7 @@ from random import Random
 
 import pytest
 
-from formalcalc import cli, jsonio
+from formalcalc import cli, jsonio, params
 from formalcalc.derivations import d_dx
 from formalcalc.params import POWER_CAP, ParamPoly
 from formalcalc.parser import parse_element
@@ -244,6 +244,28 @@ def test_pickles_carry_names_not_slots():
     r, s_ = ParamPoly.param("r"), ParamPoly.param("s")
     assert p == r ** 3 * Fraction(1, 2) - s_ * 5
     assert a == d_dx().exp_series(parse_element("s*x^(r)*log(x)^(2*s)"), 2)
+
+
+def test_unpickling_registers_only_the_names_used():
+    """Loading a pickle from a process with 100 names registers only the 2 it uses."""
+    r = ParamPoly.param("r")
+    code = (
+        "import pickle\n"
+        "from formalcalc import ParamPoly, d_dx\n"
+        "from formalcalc.parser import parse_element\n"
+        "names = [ParamPoly.param(f'many_{i}') for i in range(100)]\n"
+        "r = ParamPoly.param('r')\n"
+        "p = r ** 2 - names[3] * 4\n"
+        "a = d_dx().exp_series(parse_element('many_3*x^(r)*log(x)^(2*many_3)'), 2)\n"
+        "print(pickle.dumps((r, p, a)).hex())\n"
+    )
+    blob = bytes.fromhex(run_python(code))
+    before = set(params._SHIFTS)
+    got_r, p, a = pickle.loads(blob)
+    assert set(params._SHIFTS) - before == {"many_3"}
+    assert got_r == r
+    assert p == r**2 - ParamPoly.param("many_3") * 4
+    assert a == d_dx().exp_series(parse_element("many_3*x^(r)*log(x)^(2*many_3)"), 2)
 
 
 def test_packed_fields_never_carry():

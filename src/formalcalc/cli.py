@@ -163,7 +163,8 @@ def _emit(fmt: str, text: Callable, json: Callable, latex: Callable) -> int:
     if fmt == "json":
         from . import jsonio
 
-        print(jsonio.dumps(json(jsonio)))
+        jsonio.dump(json(jsonio), sys.stdout)  # streamed: its text is never held whole
+        print()
     elif fmt == "latex":
         from . import latexio
 

@@ -24,9 +24,8 @@ Three interlocking combinatorial families drive the closed-form expansions:
 
 from __future__ import annotations
 
-from itertools import combinations, repeat
+from itertools import combinations
 from math import factorial, prod
-from operator import add, sub
 from typing import Iterator, Sequence
 
 from .report import VerifyReport, sweep
@@ -40,18 +39,22 @@ def _compositions(total: int, parts: int, floor: int) -> Iterator[tuple[int, ...
     """All tuples of ``parts`` (>= 1) integers, each >= floor, summing to ``total``.
 
     In lexicographic order, without recursion (a tower index n asks for n+1
-    parts), by stars and bars: less ``floor - 1`` each, the parts sum to
-    ``top``, and their first ``parts - 1`` partial sums are a combination of
-    ``range(1, top)``; combinations come in the same order.
+    parts): the next tuple moves one unit from the rightmost entry above
+    ``floor``, other than the first, to its left neighbour, and the rest of
+    that entry to the last place.
     """
     if total < parts * floor:
         return
-    top = total - parts * (floor - 1)
-    for cuts in combinations(range(1, top), parts - 1):
-        js = map(sub, (*cuts, top), (0, *cuts))
-        # (*js,) is built at its size; tuple(js) would shrink a guessed one,
-        # which fills the free list of each tuple size with up to 2,000 blocks
-        yield (*js,) if floor == 1 else (*map(add, js, repeat(floor - 1)),)
+    js = [floor] * (parts - 1) + [total - (parts - 1) * floor]
+    while True:
+        yield tuple(js)  # from a list, so built at its size, never shrunk
+        j = parts - 1
+        while j and js[j] == floor:
+            j -= 1
+        if not j:
+            return
+        js[j - 1] += 1
+        js[j], js[-1] = floor, js[j] - 1
 
 
 def stirling1(k: int, j: int) -> int:

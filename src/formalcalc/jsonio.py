@@ -3,9 +3,11 @@
 Rationals are strings like ``"-3/2"`` (exactness survives any JSON
 round-trip; floats never appear).  Integers of any size are written in
 full (``render.integer``) and read back by ``integer_from_json``, also past
-the interpreter's limit on int-to-str digits.  The document shapes produced
-by the CLI are described by ``schema/cli-output.schema.json``, shipped
-inside the package; ``load_schema`` returns it as a dict.
+the interpreter's limit on int-to-str digits.  ``dump`` streams a document;
+a series document shares one dict per distinct factor, written once.  The
+document shapes produced by the CLI are described by
+``schema/cli-output.schema.json``, shipped inside the package;
+``load_schema`` returns it as a dict.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import json
 import re
 from decimal import Decimal
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Iterator
+from functools import cache
+from typing import TYPE_CHECKING, Any, Callable, Iterator, TextIO
 
 from . import render
 from .algebra import Element, Exponent, Monomial, YSeries
@@ -81,16 +84,23 @@ def exponent_from_json(data: dict[str, Any]) -> Exponent:
     )
 
 
-def element_to_json(a: Element) -> list[dict[str, Any]]:
+def _factor_to_json(index: int, e: Exponent) -> dict[str, Any]:
+    return {"gen": index, "exp": exponent_to_json(e)}
+
+
+def _element_to_json(a: Element, factor: Callable[..., dict]) -> list[dict[str, Any]]:
+    """``element_to_json``, each factor's dict made by ``factor``, once per distinct factor."""
     return [
         {
-            "monomial": [
-                {"gen": index, "exp": exponent_to_json(e)} for index, e in mono.powers
-            ],
+            "monomial": [factor(*pair) for pair in mono],
             "coeff": parampoly_to_json(as_parampoly(coeff)),
         }
         for mono, coeff in a.sorted_terms()
     ]
+
+
+def element_to_json(a: Element) -> list[dict[str, Any]]:
+    return _element_to_json(a, cache(_factor_to_json))
 
 
 def element_from_json(data: list[dict[str, Any]]) -> Element:
@@ -107,9 +117,10 @@ def element_from_json(data: list[dict[str, Any]]) -> Element:
 
 
 def yseries_to_json(s: YSeries) -> dict[str, Any]:
+    factor = cache(_factor_to_json)
     return {
         "order": s.order,
-        "coeffs": [element_to_json(c) for c in s.coefficients()],
+        "coeffs": [_element_to_json(c, factor) for c in s.coefficients()],
     }
 
 
@@ -190,26 +201,51 @@ def umbral_doc(shift: UmbralShift) -> dict[str, Any]:
 
 def dumps(doc: Any) -> str:
     """``json.dumps(doc, indent=2)``, writing integers of any size in full."""
-    return "".join(_chunks(doc, "\n"))
+    return "".join(_chunks(doc, "\n", {}))
 
 
-def _chunks(doc: Any, indent: str) -> Iterator[str]:
-    """The pieces of ``dumps(doc)``; ``indent`` starts each line of ``doc``'s level."""
+def dump(doc: Any, out: TextIO) -> None:
+    """Write ``dumps(doc)`` to ``out`` piece by piece, never whole."""
+    out.writelines(_chunks(doc, "\n", {}))
+
+
+def _text(doc: Any, indent: str, texts: dict[tuple[int, int], str]) -> str | None:
+    """The text of a scalar, or of a container met before at this level (one object that
+    the document shares, as ``series_doc`` does each factor's dict: made the second time,
+    then kept); None to stream ``doc``."""
     if type(doc) is int:
-        yield render.integer(doc)
-    elif doc and isinstance(doc, (dict, list, tuple)):
-        inner = indent + "  "
-        keyed = isinstance(doc, dict)
-        yield "{" if keyed else "["
-        for n, item in enumerate(doc.items() if keyed else doc):
-            yield f",{inner}" if n else inner
-            if keyed:
-                key, item = item
-                yield json.dumps(key) + ": "
-            yield from _chunks(item, inner)
-        yield indent + ("}" if keyed else "]")
-    else:
-        yield json.dumps(doc)
+        return render.integer(doc)
+    if not doc or not isinstance(doc, (dict, list, tuple)):
+        return json.dumps(doc)
+    seen = (id(doc), len(indent))
+    if texts.get(seen) == "":  # the second time
+        texts[seen] = "".join(_chunks(doc, indent, texts))
+    return texts.setdefault(seen, "") or None
+
+
+def _chunks(doc: Any, indent: str, texts: dict[tuple[int, int], str]) -> Iterator[str]:
+    """The pieces of ``doc``, ``indent`` starting each line of its level; texts between
+    streamed items are joined into one piece."""
+    if not doc or not isinstance(doc, (dict, list, tuple)):
+        yield _text(doc, indent, texts)
+        return
+    inner = indent + "  "
+    keyed = isinstance(doc, dict)
+    out = ["{" if keyed else "["]
+    for n, item in enumerate(doc.items() if keyed else doc):
+        out.append(f",{inner}" if n else inner)
+        if keyed:
+            key, item = item
+            out.append(json.dumps(key) + ": ")
+        text = _text(item, inner, texts)
+        if text is None:
+            yield "".join(out)
+            out.clear()
+            yield from _chunks(item, inner, texts)
+        else:
+            out.append(text)
+    out.append(indent + ("}" if keyed else "]"))
+    yield "".join(out)
 
 
 def load_schema() -> dict[str, Any]:

@@ -358,8 +358,9 @@ def test_main_in_process_matches_subprocess(capsys):
     [
         (("expand", "--expr", "x^(r)", "--order", "3"), None),  # small: may finish first
         (("stirling-table", "--max", "300"), False),  # 28 MB: always cut short
+        (("--format", "json", "stirling-table", "--max", "300"), False),  # streamed, cut mid-way
     ],
-    ids=["expand", "stirling-table"],
+    ids=["expand", "stirling-table", "json-stirling-table"],
 )
 def test_closed_stdout_is_not_a_counterexample(argv, finished, unbuffered):
     """A reader that closes the pipe after the first bytes gets no traceback and no exit 1."""

@@ -1,6 +1,7 @@
 """JSON codecs and LaTeX rendering for every value shape the CLI emits."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -8,7 +9,7 @@ import jsonschema
 import pytest
 
 from formalcalc import cli, latexio, qpoly, render
-from formalcalc.algebra import Element, Exponent
+from formalcalc.algebra import Element, Exponent, YSeries
 from formalcalc.checks import random_element, random_qpoly
 from formalcalc.derivations import d_dx
 from formalcalc.faadibruno import derivative_tower, umbral_shift
@@ -71,6 +72,11 @@ def test_dumps_matches_json_module():
     assert dumps(doc) == json.dumps(doc, indent=2)
     doc = series_doc("expand", "e", d_dx().exp_series(parse_element("x^r*log(x)^(1/2)"), 3))
     assert dumps(doc) == json.dumps(doc, indent=2)
+    # objects shared at one level and across levels: each level keeps its own indentation
+    shared, row = {"a": [1, {"b": "c"}], "n": None}, [2, [3]]
+    doc = {"x": shared, "y": [shared, row, shared, {"z": shared}, row], "w": [[shared, shared]] * 3}
+    assert dumps(doc) == json.dumps(doc, indent=2)
+    assert dumps(5) == "5" and dumps([]) == "[]" and dumps({}) == "{}" and dumps("q") == '"q"'
 
 
 def test_exponent_codec():
@@ -160,3 +166,183 @@ def test_umbral_doc_shape():
     jsonschema.validate(doc, load_schema())
     assert doc["kind"] == "umbral"
     assert len(doc["rows"]) == 3
+
+
+# --- one render per distinct factor, and streamed JSON -----------------------
+
+
+def _fresh_element_terms(style, a, ypower):
+    """The terms of an element times y^ypower, every factor rendered afresh."""
+    y = [render.power(style, "y", ypower)] if ypower else []
+    for mono, coeff in a.sorted_terms():
+        factors = [render._generator_power(style, index, e) for index, e in mono.powers]
+        if isinstance(coeff, (int, Fraction)):
+            c, head = coeff, []
+        elif len(coeff.sorted_items()) == 1:
+            [(key, c)] = coeff.sorted_items()
+            head = [render.power(style, name, k) for name, k in key]
+        else:
+            c, head = 1, [style.group[0] + render.parampoly(style, coeff) + style.group[1]]
+        yield render.term(style, c, head + factors + y)
+
+
+def fresh_series(style, s):
+    """``render.series`` without its per-call cache: the slow oracle of the cached walker."""
+    return render.join(
+        t for k, a in enumerate(s.coefficients()) for t in _fresh_element_terms(style, a, k)
+    )
+
+
+def fresh_fdbpoly(style, p):
+    """``render.fdbpoly`` without its per-call cache."""
+
+    def symbols(name, key):
+        return [render.power(style, render.subscript(style, name, i), e) for i, e in key]
+
+    return render.join(
+        render.term(style, c, symbols("y", ys) + symbols("x", xs)) for (ys, xs), c in p.sorted_terms()
+    )
+
+
+def _series_cases():
+    from formalcalc.diffrep import lifted_exp
+    from formalcalc.expansions import closed_form_series
+
+    rng = Random(2801)
+    yield d_dx().exp_series(parse_element("l_3(x)^r*exp(x)^s"), 5)
+    yield d_dx().exp_series(parse_element("l_2(x)^(1/2)*x^(-3/2)*l_-2(x)^(r-1)"), 3)
+    yield closed_form_series(parse_element("l_4(x)^(2*r+1/3)*x^s"), 4)
+    yield lifted_exp(parse_element("l_-1(x)^(-2)*l_2(x)"), 3)
+    yield d_dx().exp_series(parse_element("l_40(x)"), 2)
+    for _ in range(6):
+        element = random_element(rng, max_terms=3, max_factors=3, params=("r", "s"))
+        yield d_dx().exp_series(element, 3)
+
+
+def test_cached_factors_match_a_fresh_render():
+    """Text and LaTeX give the bytes of a walker that renders every factor afresh."""
+    for series in _series_cases():
+        for style in (render.TEXT, latexio.LATEX):
+            want = fresh_series(style, series)
+            assert render.series(style, series) == want
+            for a in series.coefficients():
+                assert render.element(style, a) == fresh_series(style, YSeries([a]))
+                for mono, _ in a.sorted_terms():
+                    fresh = [render._generator_power(style, i, e) for i, e in mono.powers]
+                    assert render.monomial(style, mono) == style.times.join(fresh) or "1"
+        assert str(series) == fresh_series(render.TEXT, series)
+        assert latexio.latex_yseries(series) == fresh_series(latexio.LATEX, series)
+    for poly in derivative_tower(7):
+        for style in (render.TEXT, latexio.LATEX):
+            assert render.fdbpoly(style, poly) == fresh_fdbpoly(style, poly)
+
+
+def test_each_distinct_factor_is_rendered_once_per_call(monkeypatch):
+    """l_40 prints 1,641 generator powers drawn from 81 distinct ones; each is rendered
+    once per call, and the next call renders them afresh (nothing outlives a call)."""
+    series = d_dx().exp_series(parse_element("l_40(x)"), 2)
+    pairs = [pair for a in series.coefficients() for mono, _ in a.sorted_terms() for pair in mono]
+    assert (len(pairs), len(set(pairs))) == (1641, 81)
+    calls = []
+    real = render._generator_power
+    monkeypatch.setattr(render, "_generator_power", lambda *args: calls.append(args) or real(*args))
+    for style in (render.TEXT, latexio.LATEX, render.TEXT):
+        calls.clear()
+        render.series(style, series)
+        assert len(calls) == 81
+    doc = series_doc("expand", "l_40(x)", series)
+    factors = [f for c in doc["series"]["coeffs"] for term in c for f in term["monomial"]]
+    assert len(factors) == 1641 and len({id(f) for f in factors}) == 81
+
+
+def test_shared_factor_text_is_written_once(monkeypatch):
+    """The writer serialises a shared factor at most twice per call (streamed the first
+    time, kept the second): an unshared copy of the document costs over 5 times the
+    ``json.dumps`` calls (1,641 factors against 81 distinct ones)."""
+    doc = series_doc("expand", "l_40(x)", d_dx().exp_series(parse_element("l_40(x)"), 2))
+    unshared = json.loads(json.dumps(doc))
+    assert unshared == doc
+    counts = []
+    for value in (doc, unshared):
+        calls = []
+        real = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(a) or real(*a, **k))
+        text = dumps(value)
+        monkeypatch.setattr(json, "dumps", real)
+        assert text == json.dumps(value, indent=2)
+        counts.append(len(calls))
+    assert counts[0] * 5 < counts[1], counts
+
+
+_JSON_COMMANDS = {
+    "symbolic": ("expand", "--expr", "l_3(x)^r*exp(x)^s", "--order", "5"),
+    "rational": ("expand", "--expr", "l_2(x)^(1/2)*x^(-3/2)", "--order", "4", "--via", "closed-form"),
+    "negative-index": ("expand", "--expr", "l_-2(x)^(r-1)*exp(x)^(-2)*l_2(x)", "--order", "3"),
+    "lift": ("lift", "--expr", "l_2(x)^r*x", "--order", "4"),
+    "fdb": ("faa-di-bruno", "--order", "7"),
+    "umbral": ("umbral", "--B=1,-1/2,2", "--depth", "6"),
+    "stirling-table": ("stirling-table", "--max", "40"),
+    "verify": ("verify", "lubell", "--max", "5"),
+}
+
+
+def _library_doc(argv):
+    """The document the CLI streams for ``argv``, built in process."""
+    from formalcalc import jsonio
+    from formalcalc.combinatorics import stirling_rows, verify_lubell
+    from formalcalc.diffrep import lifted_exp
+    from formalcalc.expansions import closed_form_series
+    from formalcalc.faadibruno import taylor_coefficients
+
+    command = argv[0]
+    if command in ("expand", "lift"):
+        expr, order = argv[2], int(argv[4])
+        if command == "lift":
+            expand = lifted_exp
+        else:
+            expand = closed_form_series if "closed-form" in argv else d_dx().exp_series
+        return series_doc(command, expr, expand(parse_element(expr), order))
+    if command == "faa-di-bruno":
+        return jsonio.fdb_doc(int(argv[2]), taylor_coefficients(int(argv[2])))
+    if command == "umbral":
+        return jsonio.umbral_doc(umbral_shift([Fraction(1), Fraction(-1, 2), Fraction(2)], 6))
+    if command == "stirling-table":
+        return table_doc(int(argv[2]), stirling_rows(int(argv[2])))
+    return jsonio.report_to_json(verify_lubell(max_n=int(argv[3])))
+
+
+@pytest.mark.parametrize("argv", list(_JSON_COMMANDS.values()), ids=list(_JSON_COMMANDS))
+def test_streamed_cli_json_equals_dumps(argv, capsys):
+    """Every JSON command streams ``dumps(doc)`` and ``json.dumps(doc, indent=2)`` byte for byte."""
+    doc = _library_doc(argv)
+    assert cli.main(["--format", "json", *argv]) in (0, 1)
+    out = capsys.readouterr().out
+    assert out == dumps(doc) + "\n"
+    assert out == json.dumps(doc, indent=2) + "\n"
+    jsonschema.validate(json.loads(out), load_schema())
+
+
+def test_streamed_json_holds_little_beyond_the_document():
+    """Streaming the closed-form JSON of l_3(x)^r*x^s to order 8 (about 506 KB) into a
+    discarding sink peaks below 4 times its length (10.7 times when it was joined whole)."""
+    from formalcalc.expansions import closed_form_series
+    from formalcalc.jsonio import dump
+
+    class Discard:
+        def write(self, text):
+            pass
+
+        def writelines(self, pieces):
+            for _ in pieces:
+                pass
+
+    series = closed_form_series(parse_element("l_3(x)^r*x^s"), 8)
+    size = len(dumps(series_doc("expand", "l_3(x)^r*x^s", series)))
+    tracemalloc.start()
+    try:
+        dump(series_doc("expand", "l_3(x)^r*x^s", series), Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 500_000
+    assert peak < 4 * size, (peak, size)

@@ -229,7 +229,7 @@ def test_cached_factors_match_a_fresh_render():
                 assert render.element(style, a) == fresh_series(style, YSeries([a]))
                 for mono, _ in a.sorted_terms():
                     fresh = [render._generator_power(style, i, e) for i, e in mono.powers]
-                    assert render.monomial(style, mono) == style.times.join(fresh) or "1"
+                    assert render.monomial(style, mono) == (style.times.join(fresh) or "1")
         assert str(series) == fresh_series(render.TEXT, series)
         assert latexio.latex_yseries(series) == fresh_series(latexio.LATEX, series)
     for poly in derivative_tower(7):

@@ -156,9 +156,8 @@ class Exponent:
     def to_parampoly(self) -> ParamPoly:
         cached = self._poly
         if cached is None:
-            cached = ParamPoly.const(self.const)
-            for name, m in self.linear:
-                cached = cached + m * ParamPoly.param(name)
+            terms = [((), self.const), *((((name, 1),), m) for name, m in self.linear)]
+            cached = ParamPoly.from_terms(terms)
             _set(self, "_poly", cached)
         return cached
 

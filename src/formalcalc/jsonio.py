@@ -46,6 +46,13 @@ def integer_from_json(s: str) -> int:
         return int(Decimal(s))
 
 
+def _int(value: object, field: str) -> int:
+    """The value of an integer field; a float, a bool or a string raises ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be a JSON integer, not {value!r}")
+    return value
+
+
 def fraction_to_json(q: Fraction) -> str:
     return render.rational(q)
 
@@ -68,7 +75,7 @@ def parampoly_to_json(p: ParamPoly) -> list[dict[str, Any]]:
 def parampoly_from_json(data: list[dict[str, Any]]) -> ParamPoly:
     pairs = []
     for term in data:
-        key = tuple(sorted((str(n), int(p)) for n, p in term["powers"].items()))
+        key = tuple(sorted((str(n), _int(p, "power")) for n, p in term["powers"].items()))
         pairs.append((key, fraction_from_json(term["coeff"])))
     return ParamPoly.from_terms(pairs)
 
@@ -80,7 +87,7 @@ def exponent_to_json(e: Exponent) -> dict[str, Any]:
 def exponent_from_json(data: dict[str, Any]) -> Exponent:
     return Exponent(
         fraction_from_json(data["const"]),
-        tuple((str(n), int(m)) for n, m in data["linear"].items()),
+        tuple((str(n), _int(m, "linear coefficient")) for n, m in data["linear"].items()),
     )
 
 
@@ -106,13 +113,8 @@ def element_to_json(a: Element) -> list[dict[str, Any]]:
 def element_from_json(data: list[dict[str, Any]]) -> Element:
     pairs = []
     for term in data:
-        mono = Monomial(
-            tuple(
-                (int(p["gen"]), exponent_from_json(p["exp"]))
-                for p in term["monomial"]
-            )
-        )
-        pairs.append((mono, parampoly_from_json(term["coeff"])))
+        mono = ((_int(p["gen"], "gen"), exponent_from_json(p["exp"])) for p in term["monomial"])
+        pairs.append((Monomial(tuple(mono)), parampoly_from_json(term["coeff"])))
     return Element.from_terms(pairs)
 
 
@@ -126,7 +128,7 @@ def yseries_to_json(s: YSeries) -> dict[str, Any]:
 
 def yseries_from_json(data: dict[str, Any]) -> YSeries:
     coeffs = [element_from_json(c) for c in data["coeffs"]]
-    if len(coeffs) != int(data["order"]) + 1:
+    if len(coeffs) != _int(data["order"], "order") + 1:
         raise ValueError("series order disagrees with coefficient count")
     return YSeries(coeffs)
 
@@ -157,8 +159,10 @@ def fdbpoly_from_json(data: list[dict[str, Any]]) -> FdbPoly:
 
     pairs = []
     for term in data:
-        ys = tuple(sorted((int(i), int(e)) for i, e in term["outer"].items()))
-        xs = tuple(sorted((int(j), int(e)) for j, e in term["inner"].items()))
+        ys, xs = (
+            tuple(sorted((integer_from_json(i), _int(e, side)) for i, e in term[side].items()))
+            for side in ("outer", "inner")
+        )
         pairs.append(((ys, xs), fraction_from_json(term["coeff"])))
     return FdbPoly.from_terms(pairs)
 

@@ -19,7 +19,8 @@ integer addition, and the constant monomial is 0.  A product whose power
 exceeds ``POWER_CAP`` = 2^63 - 1 sets a guard bit, before any carry can
 reach a neighbouring field, and raises OverflowError naming the cap.  The
 slot table holds one entry per distinct parameter name and is never
-emptied.  Slots never leak out: the public forms unpack to names, so
+emptied.  Slots never leak out: the public forms read a key through
+``_fields``, which walks only the fields it sets, and sort its names, so
 printing orders parameters by name whatever order they were met in.  A
 pickle names its slots, and ``_unpickle`` maps them to the loader's.
 
@@ -64,7 +65,6 @@ ParamKey = tuple[tuple[str, int], ...]
 _FIELD = 64  # bits per parameter slot: the power, then one guard bit
 POWER_CAP = (1 << (_FIELD - 1)) - 1  # the largest power a parameter may carry
 _SHIFTS: dict[str, int] = {}  # parameter name -> bit offset of its field
-_BY_NAME: list[tuple[str, int]] = []  # (name, offset), sorted by name
 _NAMES: tuple[str, ...] = ()  # the registered names in slot order
 _GUARDS = 0  # the guard bit of every registered field
 
@@ -77,8 +77,6 @@ def _shift(name: str) -> int:
         if not name:
             raise ValueError("parameter name must be nonempty")
         offset = _SHIFTS[name] = _FIELD * len(_SHIFTS)
-        _BY_NAME.append((name, offset))
-        _BY_NAME.sort()
         _NAMES = (*_SHIFTS,)
         _GUARDS |= 1 << (offset + _FIELD - 1)
     return offset
@@ -93,8 +91,8 @@ def _pack(key: ParamKey) -> int:
         if power > POWER_CAP:
             raise _cap_error()
         packed += power << _shift(name)
-    if packed & _GUARDS:
-        raise _cap_error()
+        if packed & _GUARDS:  # checked per power, so no field can carry into the next
+            raise _cap_error()
     return packed
 
 
@@ -102,15 +100,18 @@ def _cap_error() -> OverflowError:
     return OverflowError(f"a parameter power exceeds the cap 2^{_FIELD - 1} - 1")
 
 
+def _fields(packed: int) -> Iterator[tuple[int, int]]:
+    """The offset and power of each nonzero field of a packed key, lowest first."""
+    while packed:
+        offset = (packed & -packed).bit_length() - 1
+        offset -= offset % _FIELD
+        yield offset, (packed >> offset) & POWER_CAP
+        packed &= -1 << (offset + _FIELD)
+
+
 def _unpack(packed: int) -> ParamKey:
     """The ``ParamKey`` of a packed key, ordered by name."""
-    if not packed:
-        return ()
-    return tuple(
-        (name, power)
-        for name, offset in _BY_NAME
-        if (power := (packed >> offset) & POWER_CAP)
-    )
+    return tuple(sorted((_NAMES[offset // _FIELD], power) for offset, power in _fields(packed)))
 
 
 def _packed_terms(pairs: Iterable[tuple[ParamKey, object]]) -> dict[int, Coeff]:
@@ -354,7 +355,7 @@ class ParamPoly(Sparse):
         return lcm(*(v.denominator for v in self._terms.values()))
 
     def parameters(self) -> set[str]:
-        return {name for name, _ in _unpack(_or_keys(self._terms))}
+        return {_NAMES[offset // _FIELD] for offset, _ in _fields(_or_keys(self._terms))}
 
     def is_constant(self) -> bool:
         return all(key == 0 for key in self._terms)
@@ -409,12 +410,7 @@ def _unpickle(names: tuple[str, ...], terms: dict[int, Scalar]) -> ParamPoly:
     wrapped as it is when each of them has the same slot here, and its keys
     are repacked to the slots here otherwise.
     """
-    moves, used = [], _or_keys(terms)
-    while used:  # the lowest nonzero field, its offset there and here
-        there = (used & -used).bit_length() - 1
-        there -= there % _FIELD
-        moves.append((there, _shift(names[there // _FIELD])))
-        used &= -1 << (there + _FIELD)
+    moves = [(there, _shift(names[there // _FIELD])) for there, _ in _fields(_or_keys(terms))]
     if any(there != here for there, here in moves):
         terms = {
             sum(((k >> there) & POWER_CAP) << here for there, here in moves): v

@@ -6,9 +6,21 @@ as one line per criterion at the end of the run, so a scan of the tail of
 the log answers "which criteria hold" without grepping test names.  A
 timed criterion records ``elapsed_s`` and ``budget_s`` user properties;
 its line then shows the elapsed time next to the budget.
+
+Every ``hypothesis`` property test runs under one derandomized profile, with
+no example database and no deadline, so a run is reproducible; a test sets
+only its ``max_examples``, if it needs another count.
 """
 
 import pytest
+
+try:
+    from hypothesis import settings
+except ImportError:  # only the property tests need it; they fail on their own import
+    pass
+else:
+    settings.register_profile("formalcalc", derandomize=True, database=None, deadline=None)
+    settings.load_profile("formalcalc")
 
 _RESULTS: dict[int, tuple[str, bool, str]] = {}
 

@@ -25,6 +25,7 @@ from formalcalc.jsonio import (
     fraction_to_json,
     integer_from_json,
     load_schema,
+    parampoly_from_json,
     qpoly_from_json,
     qpoly_to_json,
     series_doc,
@@ -100,6 +101,48 @@ def test_yseries_codec():
     assert yseries_from_json(doc) == series
     with pytest.raises(ValueError, match="order disagrees"):
         yseries_from_json({**doc, "order": doc["order"] + 1})
+
+
+def _factor(gen=1, linear=1):
+    return {"gen": gen, "exp": {"const": "0", "linear": {"r": linear}}}
+
+
+def _term(gen=1, linear=1, power=1):
+    return {"monomial": [_factor(gen, linear)], "coeff": [{"coeff": "1", "powers": {"r": power}}]}
+
+
+# each reader's integer fields, each given a float or a bool, which int() used to truncate
+BAD_INTEGER_FIELDS = [
+    *(
+        (reader, doc, field)
+        for bad in (1.5, 2.7, True)
+        for reader, doc, field in (
+            (exponent_from_json, {"const": "0", "linear": {"r": bad}}, "linear coefficient"),
+            (parampoly_from_json, [{"coeff": "1", "powers": {"r": bad}}], "power"),
+            (element_from_json, [_term(linear=bad)], "linear coefficient"),
+            (element_from_json, [_term(power=bad)], "power"),
+            (element_from_json, [_term(gen=bad)], "gen"),
+            (yseries_from_json, {"order": 0, "coeffs": [[_term(gen=bad)]]}, "gen"),
+            (fdbpoly_from_json, [{"coeff": "1", "outer": {"1": bad}, "inner": {}}], "outer"),
+            (fdbpoly_from_json, [{"coeff": "1", "outer": {}, "inner": {"2": bad}}], "inner"),
+        )
+    ),
+    (yseries_from_json, {"order": 0.9, "coeffs": [[_term()]]}, "order"),
+    (yseries_from_json, {"order": True, "coeffs": [[_term()], []]}, "order"),
+]
+
+
+@pytest.mark.parametrize("reader, doc, field", BAD_INTEGER_FIELDS)
+def test_integer_fields_refuse_floats_and_bools(reader, doc, field):
+    with pytest.raises(ValueError, match=f"^{field} must be a JSON integer"):
+        reader(doc)
+
+
+def test_integer_fields_read_json_integers():
+    assert exponent_from_json({"const": "0", "linear": {"r": 2}}) == Exponent.param("r", 2)
+    assert str(yseries_from_json({"order": 0, "coeffs": [[_term(gen=0, power=2)]]})) == "r^2*x^r"
+    poly = fdbpoly_from_json([{"coeff": "3", "outer": {"1": 2}, "inner": {"2": 1}}])
+    assert list(poly.items()) == [((((1, 2),), ((2, 1),)), 3)]
 
 
 def test_qpoly_and_fdb_codecs():

@@ -1,5 +1,6 @@
 """Parameter-polynomial arithmetic: the coefficient ring under everything."""
 
+import ast
 import json
 import os
 import pickle
@@ -10,6 +11,8 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from formalcalc import cli, jsonio, params
 from formalcalc.derivations import d_dx
@@ -289,8 +292,71 @@ def test_packed_fields_never_carry():
         ParamPoly({(("carry_b", POWER_CAP + 1),): 1})
     with pytest.raises(OverflowError, match=r"cap 2\^63 - 1"):
         ParamPoly({(("carry_b", POWER_CAP), ("carry_b", 1)): 1})
+    # a repeated name is checked after each power: packed after the loop, this key is carry_b
+    twice = (("carry_a", POWER_CAP), ("carry_a", POWER_CAP), ("carry_a", 2))
+    for make in (lambda: ParamPoly({twice: 1}), lambda: ParamPoly.from_terms([(twice, 1)])):
+        with pytest.raises(OverflowError, match=r"cap 2\^63 - 1"):
+            make()
+    assert dict(ParamPoly({(("carry_a", POWER_CAP - 2), ("carry_a", 2)): 1}).items()) == {
+        (("carry_a", POWER_CAP),): 1
+    }
     with pytest.raises(ValueError):
         ParamPoly({(("carry_b", -1),): 1})
+
+
+# str of the ROADMAP's probe after registering {n} other names, median of 5 runs,
+# then the parameters and keys of a polynomial in a name first met after them
+MANY_NAMES_PROBE = """
+import statistics, time
+from formalcalc import ParamPoly, d_dx
+from formalcalc.parser import parse_element
+for i in range({n}):
+    ParamPoly.param(f"many_{{i}}")
+series = d_dx().exp_series(parse_element("x^r*l_2(x)^s + l_-1(x)^(r-s)*log(x)"), 6)
+times = []
+for _ in range(5):
+    start = time.perf_counter()
+    text = str(series)
+    times.append(time.perf_counter() - start)
+late = (ParamPoly.param("late") - ParamPoly.param("r")) ** 2
+print(repr((statistics.median(times), late.parameters(), sorted(late.items()), text)))
+"""
+
+
+def test_late_names_print_as_fast_as_early_ones():
+    """Reading a key walks only the fields it sets, so 1,000 names registered
+    first leave printing within a small factor of a process with none."""
+    none, many = (
+        ast.literal_eval(run_python(MANY_NAMES_PROBE.format(n=n))) for n in (0, 1000)
+    )
+    assert many[3] == none[3]
+    for _, names, items, _ in (none, many):
+        assert names == {"late", "r"}
+        assert items == [((("late", 1), ("r", 1)), -2), ((("late", 2),), 1), ((("r", 2),), 1)]
+    assert many[0] <= 10 * none[0], (many[0], none[0])
+
+
+# registered in this order, which is not the order of their names
+SHUFFLED = ("prop_d", "prop_a", "prop_e", "prop_c", "prop_b")
+POWERS = st.one_of(st.integers(0, 3), st.just(POWER_CAP // 4))  # four never pass the cap
+KEYS = st.lists(st.tuples(st.sampled_from(SHUFFLED), POWERS), max_size=4)
+TERMS = st.lists(st.tuples(KEYS, st.fractions(-3, 3, max_denominator=4)), max_size=5)
+
+
+@given(TERMS)
+def test_keys_read_back_sorted_by_name(terms):
+    """Keys read back from slots in any order are ParamKeys that pack to the same terms."""
+    for name in SHUFFLED:
+        ParamPoly.param(name)
+    p = ParamPoly.from_terms((tuple(key), value) for key, value in terms)
+    assert ParamPoly.from_terms(p.items()) == p
+    names = set()
+    for key, _ in p.items():
+        assert [name for name, _ in key] == sorted({name for name, _ in key})
+        assert all(power >= 1 for _, power in key)
+        names.update(name for name, _ in key)
+    assert p.parameters() == names
+    assert pickle.loads(pickle.dumps(p)) == p
 
 
 def test_huge_parameter_powers(capsys):

@@ -63,7 +63,7 @@ def test_to_string():
 
 # ------------------------------------------- oracle: a Fraction-only reference
 
-PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+PROPERTY = settings(max_examples=60)
 
 # integers, non-integral fractions and integral Fractions such as Fraction(4, 2)
 COEFFS = st.one_of(
@@ -183,7 +183,7 @@ FRACTIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(
 )
 
 
-@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(FRACTIONAL, st.lists(st.one_of(FRACTIONAL, st.integers(-2, 2)), max_size=3))
 def test_umbral_shift_reproduces_partial_bell_targets(lead, rest):
     weights = [lead] + rest

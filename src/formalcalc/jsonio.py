@@ -113,8 +113,8 @@ def element_to_json(a: Element) -> list[dict[str, Any]]:
 def element_from_json(data: list[dict[str, Any]]) -> Element:
     pairs = []
     for term in data:
-        mono = ((_int(p["gen"], "gen"), exponent_from_json(p["exp"])) for p in term["monomial"])
-        pairs.append((Monomial(tuple(mono)), parampoly_from_json(term["coeff"])))
+        factors = ((_int(p["gen"], "gen"), exponent_from_json(p["exp"])) for p in term["monomial"])
+        pairs.append((Monomial(tuple(factors)), parampoly_from_json(term["coeff"])))
     return Element.from_terms(pairs)
 
 

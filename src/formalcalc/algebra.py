@@ -12,10 +12,12 @@ An Element is a finite sum  sum_m  c_m * prod_i  gen(i)^{e_i}  with the
 coefficients c_m exact parameter polynomials (see params), stored as plain
 rationals when no parameter appears.  A Monomial is the tuple of its
 index-sorted ``(index, Exponent)`` pairs, so it compares and hashes in C,
-and monomials multiply by merging their pairs.  A YSeries is a
-polynomial in a central variable y of bounded degree with Element
-coefficients; it is the truncation type for exponential-of-derivation
-series, and arithmetic on series truncates to the smaller order.
+and monomials multiply by merging their pairs.  Exponents are ordered by
+``(linear, const)`` and monomials as tuples, pair by pair: that is the
+order in which an Element prints its terms.  A YSeries is a polynomial in
+a central variable y of bounded degree with Element coefficients; it is
+the truncation type for exponential-of-derivation series, and arithmetic
+on series truncates to the smaller order.
 
 Exponents are hash-consed, and two module tables serve that:
 
@@ -73,9 +75,9 @@ class Exponent:
 
     Exponents are interned: every route that builds one (the constructor,
     ``of``, ``param``, arithmetic, ``substitute``, unpickling) returns the
-    one instance of its value.  So equal exponents are identical, and
-    equality and hashing are the object defaults, by identity.  Instances
-    are immutable.
+    one instance of its value.  So equal exponents are identical, equality
+    and hashing are the object defaults, by identity, and ``<`` orders them
+    by ``(linear, const)``, the print order.  Instances are immutable.
     """
 
     __slots__ = ("const", "linear", "_poly")
@@ -84,8 +86,7 @@ class Exponent:
     linear: tuple[tuple[str, int], ...]
 
     def __new__(cls, const: Scalar = 0, linear: Iterable[tuple[str, int]] = ()) -> Exponent:
-        if linear:
-            linear = tuple(sorted((n, int(m)) for n, m in dict(linear).items() if m))
+        linear = tuple(sorted((n, int(m)) for n, m in dict(linear).items() if m)) if linear else ()
         return _intern(const, linear)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -168,8 +169,10 @@ class Exponent:
             return self
         return Exponent(self.const + m * Fraction(value), tuple(lin.items()))
 
-    def sort_key(self) -> tuple:
-        return (self.linear, self.const)
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, Exponent):
+            return NotImplemented
+        return (self.linear, self.const) < (other.linear, other.const)
 
     def __str__(self) -> str:
         return render.exponent(render.TEXT, self)
@@ -333,9 +336,6 @@ class Monomial(tuple):
     def substitute(self, name: str, value: Scalar) -> Monomial:
         return Monomial((i, e.substitute(name, value)) for i, e in self)
 
-    def sort_key(self) -> tuple:
-        return tuple((i, e.sort_key()) for i, e in self)
-
     def __str__(self) -> str:
         return render.monomial(render.TEXT, self)
 
@@ -358,8 +358,8 @@ class Element(Sparse):
 
     A coefficient is stored as a plain ``int`` or ``Fraction`` unless a
     parameter appears in it, and as a ParamPoly only then (see
-    ``params.canonical_coeff``).  The accessors ``items``, ``sorted_terms``
-    and ``coefficient`` hand each coefficient out as it is stored.
+    ``params.canonical_coeff``).  ``items``, ``coefficient`` and
+    ``sorted_terms`` (by monomial, as tuples) hand out each coefficient as stored.
     """
 
     __slots__ = ()
@@ -375,7 +375,7 @@ class Element(Sparse):
         return cls._of({Monomial.gen(index, exponent): 1})
 
     def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
+        return sorted(self._terms.items(), key=operator.itemgetter(0))
 
     def coefficient(self, mono: Monomial) -> Coeff:
         return self._terms.get(mono, 0)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from . import qpoly, render
@@ -111,7 +112,7 @@ class FdbPoly(Sparse):
         return cls({((), ((j, 1),)): 1})
 
     def sorted_terms(self) -> list[tuple[TermKey, Fraction | int]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
+        return sorted(self._terms.items(), key=itemgetter(0), reverse=True)
 
     def derive(self) -> FdbPoly:
         """Apply D (y_i -> y_{i+1} x_1, x_j -> x_{j+1}) by the Leibniz rule."""

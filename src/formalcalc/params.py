@@ -389,7 +389,7 @@ class ParamPoly(Sparse):
         return ParamPoly._of(_stored(_sum_into({}, terms)))
 
     def __str__(self) -> str:
-        return render.parampoly(render.TEXT, self)
+        return render.parampoly(render.TEXT, self.sorted_items())
 
     def __repr__(self) -> str:
         return f"ParamPoly({self})"

@@ -110,8 +110,9 @@ def _powers(style: Style, key: Iterable[tuple[str, int]]) -> list[str]:
     return [power(style, name, k) for name, k in key]
 
 
-def parampoly(style: Style, p) -> str:
-    return join(term(style, c, _powers(style, key)) for key, c in p.sorted_items())
+def parampoly(style: Style, items: Iterable[tuple[tuple, int | Fraction]]) -> str:
+    """The sum of a parameter polynomial's (key, value) items, in the order given."""
+    return join(term(style, c, _powers(style, key)) for key, c in items)
 
 
 def exponent(style: Style, e) -> str:
@@ -152,13 +153,11 @@ def _element_terms(style: Style, a, ypower: int, factor: Callable[..., str]) -> 
     for mono, coeff in a.sorted_terms():
         if isinstance(coeff, (int, Fraction)):
             c, head = coeff, []
-        else:
-            items = coeff.sorted_items()
-            if len(items) == 1:
-                key, c = items[0]
-                head = _powers(style, key)
-            else:
-                c, head = 1, [style.group[0] + parampoly(style, coeff) + style.group[1]]
+        elif len(items := coeff.sorted_items()) == 1:
+            [(key, c)] = items
+            head = _powers(style, key)
+        else:  # sorted once, for the test above and the print
+            c, head = 1, [style.group[0] + parampoly(style, items) + style.group[1]]
         yield term(style, c, head + [factor(*pair) for pair in mono] + y)
 
 

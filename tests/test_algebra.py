@@ -75,6 +75,16 @@ def test_exponent_hash_and_equality_are_identity():
         r.const = 5
 
 
+def test_an_empty_linear_part_of_any_type_is_the_empty_tuple():
+    # an empty dict or list used to be stored as given, so the interned exponent
+    # failed to compare with a symbolic one, and printing raised TypeError
+    for k, empty in enumerate(({}, [], {"r": 0})):
+        e = Exponent(Fraction(1234567, 7654321 + k), empty)
+        assert e.linear == () and type(e.linear) is tuple and e is Exponent.of(e.const)
+        a = Element.gen(0, e) + Element.gen(0, Exponent.param("r"))
+        assert str(a) == f"x^({e.const}) + x^r"
+
+
 def _exponents(value):
     """Every Exponent reachable from an algebra value."""
     if isinstance(value, Exponent):
@@ -253,6 +263,66 @@ def test_monomial_shift():
     shifted = m.shift(1)
     assert shifted.indices() == [1, 3]
     assert shifted.shift(-1) == m
+
+
+def old_sort_key(mono):
+    """The monomial sort key the package used to build, kept as the oracle of the print order."""
+    return tuple((i, (e.linear, e.const)) for i, e in mono)
+
+
+def _assert_old_order(a):
+    monos = [m for m, _ in a.sorted_terms()]
+    assert monos == sorted((m for m, _ in a.items()), key=old_sort_key)
+
+
+def _rational_monomial(rng):
+    pairs = []
+    for _ in range(rng.randrange(0, 6)):
+        linear = {n: rng.choice([-2, -1, 1, 2]) for n in ("r", "s") if rng.random() < 0.4}
+        const = Fraction(rng.randrange(-7, 8), rng.choice([1, 1, 2, 3]))
+        pairs.append((rng.randrange(-4, 5), Exponent(const, linear)))
+    return Monomial(pairs)
+
+
+def test_sorted_terms_follow_the_old_key_on_random_elements():
+    rng = Random(3101)
+    for _ in range(200):
+        a = random_element(rng, max_terms=8, max_factors=5, index_window=(-4, 4), params=("r", "s"))
+        a = a + Element({_rational_monomial(rng): Fraction(rng.randrange(1, 9), 3) for _ in range(8)})
+        _assert_old_order(a)
+
+
+def test_sorted_terms_follow_the_old_key_on_hand_cases():
+    r, s = Exponent.param("r"), Exponent.param("s")
+    constants = [Exponent.of(2), Exponent.of(Fraction(5, 2)), Exponent.of(-1)]
+    symbolic = [r, r + s, s, r * 2 - 1]
+    prefix = [Monomial.gen(0, 2), Monomial.gen(0, 2) * Monomial.gen(3, r)]
+    prefix.append(prefix[1] * Monomial.gen(5, Fraction(-1, 3)))
+    cases = [
+        [Monomial.gen(1, e) for e in constants],
+        [Monomial.gen(2, e) for e in symbolic],
+        [Monomial.gen(2, e) for e in constants + symbolic],
+        prefix,
+        [Monomial.one(), Monomial.gen(-3, -1), Monomial.gen(0, r)],
+    ]
+    for monos in cases:
+        for order in (monos, monos[::-1]):
+            a = Element({m: k + 1 for k, m in enumerate(order)})
+            _assert_old_order(a)
+    a = Element({Monomial.gen(2, e): 1 for e in symbolic})
+    assert [m.exponent_of(2) for m, _ in a.sorted_terms()] == [r, r + s, r * 2 - 1, s]
+    a = Element({Monomial.gen(1, e): 1 for e in constants})
+    assert [m.exponent_of(1).const for m, _ in a.sorted_terms()] == [-1, 2, Fraction(5, 2)]
+    a = Element({m: 1 for m in prefix[::-1] + [Monomial.one()]})
+    assert [m for m, _ in a.sorted_terms()] == [Monomial.one(), *prefix]
+
+
+def test_exponents_order_only_among_themselves():
+    assert Exponent.of(1) < Exponent.of(2) and not Exponent.of(2) < Exponent.of(2)
+    assert Exponent.of(5) < Exponent.param("r") < Exponent.param("s")
+    for a, b in ((Exponent.of(1), 2), (2, Exponent.of(1)), (Exponent.of(1), Fraction(1, 2))):
+        with pytest.raises(TypeError):
+            a < b
 
 
 def test_element_ring():

@@ -76,8 +76,8 @@ def test_exponent_hash_and_equality_are_identity():
 
 
 def test_an_empty_linear_part_of_any_type_is_the_empty_tuple():
-    # an empty dict or list used to be stored as given, so the interned exponent
-    # failed to compare with a symbolic one, and printing raised TypeError
+    # stored as given, an empty dict or list would make an interned exponent that
+    # fails to compare with a symbolic one, so that printing raises TypeError
     for k, empty in enumerate(({}, [], {"r": 0})):
         e = Exponent(Fraction(1234567, 7654321 + k), empty)
         assert e.linear == () and type(e.linear) is tuple and e is Exponent.of(e.const)

@@ -15,11 +15,10 @@ formal Taylor theorem and insists they agree.  The direct route composes
 h = f(g(x)) and reads the y^k coefficient of h(x+y) = exp(y d/dx) h as
 h^(k)(x) / k!; it never reads D^n y_0, so the two routes share no table.
 
-``derivative_tower`` reads D^n y_0 from the module table ``_TOWER``, grown on
-demand; ``compose_series_from_table`` reads it through ``derivative_tower``.
-The table keeps rows while it holds at most ``_TOWER_CAP`` terms; a row past
-the cap is built, used and not kept.  ``taylor_coefficients`` keeps the rows
-divided by n! in ``_TAYLOR``, for the same orders.
+``derivative_tower`` reads D^n y_0 from the module table ``_TOWER``, bounded
+by ``_TOWER_CAP`` terms; ``taylor_coefficients`` keeps the rows divided by n!
+in ``_TAYLOR``.  One evaluator substitutes values into the rows, for both
+``compose_series_from_table`` and ``substitute_weights``.
 
 The same alphabet defines the umbral shift: given a weight sequence B with
 B_1 != 0, the substitution ``substitute_weights`` (y_j -> 1, x_i -> B_i * x)
@@ -38,10 +37,11 @@ image) as its oracle.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import comb, factorial
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import qpoly, render
 from .params import Sparse, _stored, _sum_into, canonical_coeff
@@ -130,22 +130,13 @@ class FdbPoly(Sparse):
         symbols each monomial carried.  Referencing x_i beyond the end of
         the sequence is an error (the substitution is undefined there).
         """
-        w = [canonical_coeff(v) for v in weights]
-        out: QPoly = []
-        for (_ys, xs), c in self._terms.items():
-            total = c
-            deg = 0
-            for j, e in xs:
-                if j > len(w):
-                    raise ValueError(
-                        f"inner symbol x_{j} has no weight; sequence has length {len(w)}"
-                    )
-                total *= w[j - 1] ** e
-                deg += e
-            while len(out) <= deg:
-                out.append(0)
-            out[deg] += total
-        return qpoly.normalize(out)
+        inner = {i: qpoly.normalize([0, v]) for i, v in enumerate(weights, 1)}
+        try:
+            return _evaluate([self], defaultdict(lambda: [1]), inner)[0]
+        except KeyError as missing:
+            raise ValueError(
+                f"inner symbol x_{missing.args[0]} has no weight; sequence has length {len(inner)}"
+            ) from None
 
     def __str__(self) -> str:
         return render.fdbpoly(render.TEXT, self)
@@ -154,11 +145,10 @@ class FdbPoly(Sparse):
         return f"FdbPoly({self})"
 
 
-# D^n y_0 for n = 0, 1, ..., grown on demand by ``derivative_tower`` and shared
-# between calls, since an FdbPoly is never changed in place.  A row is kept
-# while the table holds at most ``_TOWER_CAP`` terms in all (orders 0..27 fit,
-# about 4 MB); a row past the cap is built, used and not kept.  Rows are never
-# evicted.
+# D^n y_0 for n = 0, 1, ..., grown on demand and shared between calls, since an
+# FdbPoly is never changed in place.  A row is kept while the table holds at
+# most ``_TOWER_CAP`` terms in all (orders 0..27 fit, about 4 MB); a row past
+# the cap is built, used and not kept.  Rows are never evicted.
 _TOWER_CAP = 1 << 14  # terms, one per partition of each kept order
 _TOWER: list[FdbPoly] = []
 _TAYLOR: list[FdbPoly] = []  # D^n y_0 / n!, for the orders _TOWER keeps
@@ -212,43 +202,45 @@ def compose_series_direct(
     ]
 
 
+def _evaluate(
+    rows: Sequence[FdbPoly], outer: Mapping[int, QPoly], inner: Mapping[int, QPoly]
+) -> list[QPoly]:
+    """Each row at y_i -> outer[i] and x_j -> inner[j], as one QPoly per row.
+
+    Reads a value only for a symbol the rows carry, and builds each power of
+    it once per call, from the power below it."""
+    tables: tuple[dict, dict] = ({}, {})  # outer, inner: powers[i][e] = value_i^e
+    out: list[QPoly] = []
+    for row in rows:
+        acc: QPoly = []
+        for key, c in row.items():
+            prod = qpoly.const(c)
+            for values, powers, symbols in zip((outer, inner), tables, key):
+                for i, e in symbols:
+                    table = powers.get(i) or powers.setdefault(i, [[1], values[i]])
+                    while len(table) <= e:
+                        table.append(qpoly.mul(table[-1], table[1]))
+                    prod = qpoly.mul(prod, table[e])
+            acc = qpoly.add(acc, prod)
+        out.append(acc)
+    return out
+
+
 def compose_series_from_table(
     f: Sequence[Fraction | int], g: Sequence[Fraction | int], order: int
 ) -> list[QPoly]:
     """y-coefficients of f(g(x+y)) through the composite-derivative table.
 
-    Substitutes y_i -> f^(i)(g(x)) and x_j -> g^(j)(x) into D^n y_0 / n!.
+    Substitutes y_i -> f^(i)(g(x)) and x_j -> g^(j)(x) into D^n y_0 / n!;
+    ``derivative_tower`` refuses a negative order.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    fq, gq = qpoly.from_coeffs(f), qpoly.from_coeffs(g)
-    outer_at_g: list[QPoly] = []
-    d = fq
-    for _ in range(order + 1):
-        outer_at_g.append(qpoly.compose(d, gq))
+    d, gq = qpoly.from_coeffs(f), qpoly.from_coeffs(g)
+    outer, inner = {0: qpoly.compose(d, gq)}, {0: gq}
+    for i in range(1, order + 1):
         d = qpoly.derivative(d)
-    inner: list[QPoly] = [gq]
-    for _ in range(order):
-        inner.append(qpoly.derivative(inner[-1]))
-
-    # powers[i][e] = base_i^e, each built once from the power below it
-    outer_powers = [[[1], p] for p in outer_at_g]
-    inner_powers = [[[1], p] for p in inner]
-
-    out: list[QPoly] = []
-    for n, dpoly in enumerate(derivative_tower(order)):
-        acc: QPoly = []
-        for (ys, xs), c in dpoly.items():
-            prod = qpoly.const(c)
-            for powers, key in ((outer_powers, ys), (inner_powers, xs)):
-                for i, e in key:
-                    row = powers[i]
-                    while len(row) <= e:
-                        row.append(qpoly.mul(row[-1], row[1]))
-                    prod = qpoly.mul(prod, row[e])
-            acc = qpoly.add(acc, prod)
-        out.append(qpoly.scale(acc, Fraction(1, factorial(n))))
-    return out
+        outer[i], inner[i] = qpoly.compose(d, gq), qpoly.derivative(inner[i - 1])
+    rows = _evaluate(derivative_tower(order), outer, inner)
+    return [qpoly.scale(row, Fraction(1, factorial(n))) for n, row in enumerate(rows)]
 
 
 def compose_expansion(

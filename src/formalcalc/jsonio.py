@@ -1,7 +1,8 @@
 """JSON encoding/decoding for the algebra types and CLI payloads.
 
 Rationals are strings like ``"-3/2"`` (exactness survives any JSON
-round-trip; floats never appear).  Integers of any size are written in
+round-trip; floats never appear), read by the schema's ``rational`` grammar
+and nothing else.  Integers of any size are written in
 full (``render.integer``) and read back by ``integer_from_json``, also past
 the interpreter's limit on int-to-str digits.  ``dump`` streams a document;
 a series document shares one dict per distinct factor, written once.  The
@@ -30,6 +31,7 @@ if TYPE_CHECKING:
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")  # the schema's ``rational``
 
 
 def integer_from_json(s: str) -> int:
@@ -58,11 +60,12 @@ def fraction_to_json(q: Fraction) -> str:
 
 
 def fraction_from_json(s: str) -> Fraction:
-    try:
-        return Fraction(s)
-    except ValueError:
-        num, slash, den = s.partition("/")
-        return Fraction(integer_from_json(num), integer_from_json(den) if slash else 1)
+    """The value of a schema ``rational``, ``-?[0-9]+(/[1-9][0-9]*)?``, at any size."""
+    match = _RATIONAL.fullmatch(s) if type(s) is str else None
+    if match is None:
+        raise ValueError(f"a rational must be a string like '-3/2', not {s!r}")
+    num, den = match.groups()
+    return Fraction(integer_from_json(num), integer_from_json(den) if den else 1)
 
 
 def parampoly_to_json(p: ParamPoly) -> list[dict[str, Any]]:

@@ -22,8 +22,10 @@ column.  All errors are ParseError with 1-based line/column positions.
 Nesting is capped at ``MAX_NESTING`` levels: each parenthesis, unary minus
 and exponent opens one level, and an expression that goes deeper is a
 ParseError.  Sums and products may have any number of terms; they are
-evaluated in a loop, not by recursion.  An index of ``l_<k>``, ``y_<i>`` or
-``x_<j>`` above ``MAX_TOWER_INDEX`` in absolute value is a ParseError.
+evaluated in a loop, not by recursion, and a run of ``+`` and ``-`` in an
+exponent is summed in one pass, interning only the sum.  An index of
+``l_<k>``, ``y_<i>`` or ``x_<j>`` above ``MAX_TOWER_INDEX`` in absolute value
+is a ParseError.
 """
 
 from __future__ import annotations
@@ -245,15 +247,31 @@ def parse(text: str) -> Node:
 
 # ------------------------------------------------------------- conversions
 
-def _fold(node: Node, leaves: dict, refused: str, power: Callable, times: Callable | None = None):
+def _pairwise(first, run: list) -> object:
+    """``first`` followed by each ``(op, value)`` of a run of ``+`` and ``-`` links."""
+    for op, value in run:
+        first = first + value if op == "+" else first - value
+    return first
+
+
+def _fold(
+    node: Node,
+    leaves: dict,
+    refused: str,
+    power: Callable,
+    times: Callable | None = None,
+    total: Callable = _pairwise,
+):
     """Evaluate a syntax tree with the handlers of one target.
 
     ``leaves`` maps a leaf kind to the function that evaluates its value;
     any other leaf is a ParseError with the message ``refused``.
     ``power(node, fold)`` evaluates a ``^`` node and ``times(node, left,
-    right)``, if given, a ``*`` link.  A left-deep chain of ``+``, ``-`` and
-    ``*`` links (an n-term sum parses n levels deep) is walked in a loop, so
-    recursion stays within the nesting depth, which the parser caps.
+    right)``, if given, a ``*`` link; ``total(first, run)`` sums a run of
+    ``+`` and ``-`` links, given as ``(op, value)`` pairs.  A left-deep chain
+    of ``+``, ``-`` and ``*`` links (an n-term sum parses n levels deep) is
+    walked in a loop, so recursion stays within the nesting depth, which the
+    parser caps.
     """
 
     def fold(node: Node):
@@ -270,16 +288,16 @@ def _fold(node: Node, leaves: dict, refused: str, power: Callable, times: Callab
         while isinstance(node, BinOp) and node.op != "^":
             links.append(node)
             node = node.left
-        out = fold(node)
+        out, run = fold(node), []
         for link in reversed(links):
             right = fold(link.right)
-            if link.op == "+":
-                out = out + right
-            elif link.op == "-":
-                out = out - right
-            else:
-                out = out * right if times is None else times(link, out, right)
-        return out
+            if link.op != "*":
+                run.append((link.op, right))
+                continue
+            if run:
+                out, run = total(out, run), []
+            out = out * right if times is None else times(link, out, right)
+        return total(out, run) if run else out
 
     return fold(node)
 
@@ -302,6 +320,17 @@ def _exponent_times(node: BinOp, left: Exponent, right: Exponent) -> Exponent:
     )
 
 
+def _exponent_total(first: Exponent, run: list[tuple[str, Exponent]]) -> Exponent:
+    """The sum of a run in one dict of linear parts; only the result is interned."""
+    const, linear = first.const, dict(first.linear)
+    for op, value in run:
+        sign = 1 if op == "+" else -1
+        const += sign * value.const
+        for name, m in value.linear:
+            linear[name] = linear.get(name, 0) + sign * m
+    return Exponent(const, linear)
+
+
 def to_exponent(node: Node) -> Exponent:
     """Fold a syntax tree into an affine exponent, or reject it."""
     return _fold(
@@ -310,6 +339,7 @@ def to_exponent(node: Node) -> Exponent:
         "exponents must be affine in the parameters",
         _no_power,
         _exponent_times,
+        _exponent_total,
     )
 
 

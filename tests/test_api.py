@@ -1,4 +1,8 @@
-"""The public names of the package."""
+"""The public names of the package, and the modules it imports."""
+
+import ast
+import sys
+from pathlib import Path
 
 import formalcalc
 
@@ -19,3 +23,24 @@ def test_public_names_are_pinned():
     ]
     for name in formalcalc.__all__:
         assert getattr(formalcalc, name) is not None, name
+
+
+def test_runtime_imports_only_the_standard_library():
+    """Every absolute import in the package names a standard-library module."""
+    sources = sorted(Path(formalcalc.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import comb, factorial
 from random import Random
+import tracemalloc
 
 import pytest
 
@@ -21,6 +22,7 @@ from formalcalc.faadibruno import (
     umbral_shift,
 )
 from formalcalc.jsonio import fdbpoly_from_json, fdbpoly_to_json
+from formalcalc.params import canonical_coeff
 from formalcalc.parser import parse_fdb
 
 
@@ -126,6 +128,121 @@ def test_substitute_weights_strict():
     assert substitute_weights(p, (1, 2, 5)) == qpoly.from_coeffs([0, 5])
     # x_1^2 * x_2 carries three, landing on w1^2 w2 x^3
     assert substitute_weights(x(1) ** 2 * x(2), (2, 3)) == qpoly.from_coeffs([0, 0, 0, 12])
+
+
+def ref_substitute_weights(poly, weights):
+    """The weight substitution with its own loop over the terms: y_j -> 1, x_i -> w_i x."""
+    w = [canonical_coeff(v) for v in weights]
+    out = []
+    for (_ys, xs), c in poly.items():
+        total = c
+        deg = 0
+        for j, e in xs:
+            if j > len(w):
+                raise ValueError(f"inner symbol x_{j} has no weight; sequence has length {len(w)}")
+            total *= w[j - 1] ** e
+            deg += e
+        while len(out) <= deg:
+            out.append(0)
+        out[deg] += total
+    return qpoly.normalize(out)
+
+
+def ref_compose_from_table(f, g, order):
+    """The table route with its own power table and loop over each row's terms."""
+    fq, gq = qpoly.from_coeffs(f), qpoly.from_coeffs(g)
+    outer_at_g = []
+    d = fq
+    for _ in range(order + 1):
+        outer_at_g.append(qpoly.compose(d, gq))
+        d = qpoly.derivative(d)
+    inner = [gq]
+    for _ in range(order):
+        inner.append(qpoly.derivative(inner[-1]))
+    # powers[i][e] = base_i^e, each built once from the power below it
+    outer_powers = [[[1], p] for p in outer_at_g]
+    inner_powers = [[[1], p] for p in inner]
+    out = []
+    for n, dpoly in enumerate(derivative_tower(order)):
+        acc = []
+        for (ys, xs), c in dpoly.items():
+            prod = qpoly.const(c)
+            for powers, key in ((outer_powers, ys), (inner_powers, xs)):
+                for i, e in key:
+                    row = powers[i]
+                    while len(row) <= e:
+                        row.append(qpoly.mul(row[-1], row[1]))
+                    prod = qpoly.mul(prod, row[e])
+            acc = qpoly.add(acc, prod)
+        out.append(qpoly.scale(acc, Fraction(1, factorial(n))))
+    return out
+
+
+def random_wide_fdbpoly(rng: Random) -> FdbPoly:
+    """Terms over three y and three x symbols with indices up to 40, powers up to 5.
+
+    Each term draws its symbols from the same small pools, so a symbol repeats
+    within a term (its powers add) and across terms (its powers are reused).
+    """
+    pools = (rng.sample(range(41), 3), rng.sample(range(1, 41), 3))
+    out = FdbPoly.zero()
+    for _ in range(rng.randrange(1, 6)):
+        term = FdbPoly.one() * rng.choice((1, -2, 3, Fraction(1, 2), Fraction(-5, 4)))
+        for _ in range(rng.randrange(5)):
+            symbol = rng.choice((y, x))
+            term = term * symbol(rng.choice(pools[symbol is x])) ** rng.randrange(1, 6)
+        out = out + term
+    return out
+
+
+def test_substitute_weights_matches_its_own_loop_on_tower_rows():
+    for weights in UMBRAL_WEIGHTS + ((0, 1, 0, Fraction(-3, 7)),):
+        w = list(weights) + [Fraction(1, 3), 0, 2] * 4
+        for row in derivative_tower(12):
+            assert substitute_weights(row, w) == ref_substitute_weights(row, w), (weights, row)
+
+
+def test_substitute_weights_matches_its_own_loop_on_random_polys():
+    rng = Random(33)
+    values = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 2), Fraction(7, 5))
+    for _ in range(300):
+        poly = random_wide_fdbpoly(rng)
+        weights = [rng.choice(values) for _ in range(rng.randrange(30, 41))]
+        try:
+            want = ref_substitute_weights(poly, weights)
+        except ValueError as refused:
+            with pytest.raises(ValueError) as got:
+                substitute_weights(poly, weights)
+            assert str(got.value) == str(refused)
+        else:
+            got = substitute_weights(poly, weights)
+            assert got == want, (poly, weights)
+            assert all(type(v) is int or v.denominator != 1 for v in got)
+
+
+def test_substitute_weights_reads_only_the_symbols_present():
+    poly = FdbPoly.outer_symbol(10**6) * FdbPoly.inner_symbol(1)
+    tracemalloc.start()
+    try:
+        got = substitute_weights(poly, (2,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [0, 2]
+    assert peak < 1 << 20  # a list indexed by symbol would take 8 MB here
+    missing = r"^inner symbol x_1000000 has no weight; sequence has length 1$"
+    with pytest.raises(ValueError, match=missing):
+        substitute_weights(FdbPoly.inner_symbol(10**6), (1,))
+
+
+def test_compose_from_table_matches_its_own_loop():
+    rng = Random(34)
+    for order in range(9):
+        for _ in range(12):
+            f, g = random_rational_qpoly(rng, 4), random_rational_qpoly(rng, 4)
+            assert compose_series_from_table(f, g, order) == ref_compose_from_table(f, g, order)
+    with pytest.raises(ValueError, match="nonnegative"):
+        compose_series_from_table([1], [0, 1], -1)
 
 
 def test_compose_specific_pair():

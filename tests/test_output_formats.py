@@ -1,6 +1,7 @@
 """JSON codecs and LaTeX rendering for every value shape the CLI emits."""
 
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 from random import Random
@@ -42,6 +43,31 @@ def test_fraction_codec():
     assert fraction_to_json(Fraction(5)) == "5"
     assert fraction_from_json("-3/4") == Fraction(-3, 4)
     assert fraction_from_json("7") == Fraction(7)
+
+
+@pytest.mark.parametrize(
+    "text", ["1/0", "1e5", "1e999999", "0.5", " 7 ", "1_0", "+3", "1/-2", "1/02", "7\n", "", 5]
+)
+def test_fraction_reader_takes_only_the_schema_grammar(text):
+    """The schema's ``rational`` is ``^-?[0-9]+(/[1-9][0-9]*)?$``; anything else is refused."""
+    if type(text) is str:
+        assert not re.fullmatch(load_schema()["$defs"]["rational"]["pattern"][1:-1], text)
+    with pytest.raises(ValueError):
+        fraction_from_json(text)
+
+
+def test_every_written_rational_reads_back():
+    rng = Random(35)
+    values = [Fraction(0), Fraction(-1), Fraction(10**5000 + 7, 3), -Fraction(3, 10**5000 + 1)]
+    for _ in range(300):
+        digits = rng.choice((1, 3, 20, 4299, 4301, 5000))
+        num = rng.randrange(-(10**digits), 10**digits)
+        values.append(Fraction(num, rng.choice((1, 2, 7, rng.randrange(1, 10**digits)))))
+    pattern = re.compile(load_schema()["$defs"]["rational"]["pattern"])
+    for q in values:
+        text = render.rational(q)
+        assert pattern.match(text), text
+        assert fraction_from_json(text) == q
 
 
 def test_integers_past_the_str_digit_limit():

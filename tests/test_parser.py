@@ -1,10 +1,12 @@
 """Expression grammar: parsing, error positions, and print round-trips."""
 
 from fractions import Fraction
+import time
 from random import Random
 
 import pytest
 
+from formalcalc import algebra
 from formalcalc.algebra import Element, Exponent
 from formalcalc.checks import random_element
 from formalcalc.faadibruno import FdbPoly, derivative_tower, taylor_coefficients
@@ -116,6 +118,35 @@ def test_long_sums_and_products_do_not_recurse():
     assert parse_element("*".join(["x"] * 3000)) == Element.gen(0, 3000)
     assert parse_element("x^(" + " + ".join(["r"] * 3000) + ")") == Element.gen(0, 3000 * r)
     assert parse_fdb(" + ".join(["y_1*x_1"] * 3000)) == 3000 * parse_fdb("y_1*x_1")
+
+
+def test_a_long_exponent_is_summed_once():
+    """A run of + and - in an exponent is summed in one dict; only the sum is interned."""
+    text = "x^(" + "+".join(f"p{i}" for i in range(3000)) + ")"
+    before = len(algebra._INTERN)
+    start = time.perf_counter()
+    element = parse_element(text)
+    elapsed = time.perf_counter() - start
+    assert len(algebra._INTERN) - before <= 3001  # each name, and the sum
+    assert elapsed < 0.2  # pairwise sums interned 5,999 exponents in 1.4 s
+    ((monomial, coeff),) = element.items()
+    ((index, exponent),) = tuple(monomial)
+    assert (index, coeff) == (0, 1)
+    assert exponent is Exponent(0, {f"p{i}": 1 for i in range(3000)})
+
+
+@pytest.mark.parametrize(
+    "text, const, linear",
+    [
+        ("2*r - (s - 3) + 1/2 - r", Fraction(7, 2), {"r": 1, "s": -1}),
+        ("(r + s)*2 - 3*(r - 1/2) + t", Fraction(3, 2), {"r": -1, "s": 2, "t": 1}),
+        ("-(r - s) - -r - 1 + (2 - (s + 1))*4", 3, {"r": 0, "s": -3}),
+        ("r - r", 0, {}),
+    ],
+)
+def test_mixed_exponent_chains(text, const, linear):
+    assert to_exponent(parse(text)) is Exponent(const, linear)
+    assert parse_element(f"x^({text})") == Element.gen(0, Exponent(const, linear))
 
 
 def test_nonconstant_base_needs_plain_power():

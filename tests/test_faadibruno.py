@@ -189,8 +189,8 @@ def random_wide_fdbpoly(rng: Random) -> FdbPoly:
     for _ in range(rng.randrange(1, 6)):
         term = FdbPoly.one() * rng.choice((1, -2, 3, Fraction(1, 2), Fraction(-5, 4)))
         for _ in range(rng.randrange(5)):
-            symbol = rng.choice((y, x))
-            term = term * symbol(rng.choice(pools[symbol is x])) ** rng.randrange(1, 6)
+            symbol, pool = rng.choice(((y, pools[0]), (x, pools[1])))
+            term = term * symbol(rng.choice(pool)) ** rng.randrange(1, 6)
         out = out + term
     return out
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import render
 from .params import (
@@ -46,6 +46,7 @@ from .params import (
     Sparse,
     _mul_into,
     _stored,
+    _sum_into,
     as_parampoly,
     canonical_coeff,
 )
@@ -86,8 +87,10 @@ class Exponent:
     linear: tuple[tuple[str, int], ...]
 
     def __new__(cls, const: Scalar = 0, linear: Iterable[tuple[str, int]] = ()) -> Exponent:
-        linear = tuple(sorted((n, int(m)) for n, m in dict(linear).items() if m)) if linear else ()
-        return _intern(const, linear)
+        """A repeated name in ``linear`` adds its coefficients, which must be integers."""
+        pairs = linear.items() if isinstance(linear, Mapping) else linear
+        acc = _sum_into({}, ((name, _integer(m)) for name, m in pairs))
+        return _intern(const, tuple(sorted(item for item in acc.items() if item[1])))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Exponent is immutable")
@@ -195,18 +198,18 @@ def _intern(const: Scalar, linear: tuple[tuple[str, int], ...]) -> Exponent:
     return e
 
 
+def _integer(m: object) -> int:
+    q = m if type(m) is int else Fraction(m)
+    if q.denominator != 1:
+        raise ValueError(f"parameter coefficients in exponents must be integers, not {m!r}")
+    return int(q)
+
+
 def _sum(a: Exponent, b: Exponent) -> Exponent:
     """a + b, computed and put in the sum memo."""
-    if b.linear:
-        lin = dict(a.linear)
-        for name, m in b.linear:
-            lin[name] = lin.get(name, 0) + m
-        linear = tuple(sorted((n, m) for n, m in lin.items() if m))
-    else:
-        linear = a.linear
     if len(_SUMS) >= _SUM_MEMO_SIZE:
         _SUMS.clear()
-    e = _SUMS[a, b] = _intern(a.const + b.const, linear)
+    e = _SUMS[a, b] = Exponent(a.const + b.const, a.linear + b.linear)
     return e
 
 
@@ -510,9 +513,7 @@ class YSeries:
             if o is None:
                 return NotImplemented
             other = YSeries.of_element(o, self.order)
-        den = lcm(self._den, other._den)
-        sa, sb = den // self._den, den // other._den
-        return YSeries._of([a * sa + b * sb for a, b in zip(self._num, other._num)], den)
+        return _sum_series((self, other))
 
     __radd__ = __add__
 
@@ -553,3 +554,17 @@ class YSeries:
 
     def __repr__(self) -> str:
         return f"YSeries(order={self.order}: {self})"
+
+
+def _sum_series(series: Sequence[YSeries]) -> YSeries:
+    """The sum of the series, truncated to the smallest order: one common ``den``,
+    and one ``from_terms`` call per order over every series' scaled numerator."""
+    den = lcm(*(s._den for s in series))
+    scaled = [(s._num, den // s._den) for s in series]
+    return YSeries._of(
+        [
+            Element.from_terms((mono, c * m) for num, m in scaled for mono, c in num[k].items())
+            for k in range(min(len(num) for num, _ in scaled))
+        ],
+        den,
+    )

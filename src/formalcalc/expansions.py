@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from math import prod
 
-from .algebra import Element, Exponent, Monomial, YSeries, falling_row
+from .algebra import Element, Exponent, Monomial, YSeries, _sum_series, falling_row
 from .combinatorics import _descending_chains, signed_esym, stirling1, stirling_chain
 from .params import Coeff, Scalar
 
@@ -148,15 +148,15 @@ def closed_form_series(a: Element, order: int, form: str = "stirling") -> YSerie
     """Expand a sum of products of nonnegative-index generator powers.
 
     This is the closed-form route behind the CLI: each generator power is
-    replaced by its closed-form series and the results are multiplied out.
-    Negative tower indices have no printed closed form and are rejected.
+    replaced by its closed-form series, and the products are summed in one
+    pass.  Negative tower indices have no printed closed form and are rejected.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    out = YSeries.zero(order)
+    terms = [YSeries.zero(order)]
     for mono, coeff in a.items():
         term = YSeries.of_element(Element.const(coeff), order)
         for index, e in mono.powers:
             term = term * iterated_log_series(index, e, order, form)
-        out = out + term
-    return out
+        terms.append(term)
+    return _sum_series(terms)

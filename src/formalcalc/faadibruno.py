@@ -54,10 +54,7 @@ TermKey = tuple[SymKey, SymKey]  # (outer powers, inner powers)
 
 def _merge_keys(a: SymKey, b: SymKey) -> SymKey:
     """The product of two symbol-power tables."""
-    powers = dict(a)
-    for i, p in b:
-        powers[i] = powers.get(i, 0) + p
-    return tuple(sorted((i, p) for i, p in powers.items() if p))
+    return tuple(sorted(_sum_into(dict(a), b).items()))
 
 
 class ConsistencyError(RuntimeError):

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, TextIO
 
 from . import render
 from .algebra import Element, Exponent, Monomial, YSeries
-from .params import ParamPoly, as_parampoly
+from .params import ParamPoly, _sum_into, as_parampoly
 
 if TYPE_CHECKING:
     from .faadibruno import FdbPoly, UmbralShift
@@ -31,6 +31,7 @@ if TYPE_CHECKING:
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_DIGITS = re.compile(r"[0-9]+")  # an fdbPoly symbol index
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")  # the schema's ``rational``
 
 
@@ -162,12 +163,25 @@ def fdbpoly_from_json(data: list[dict[str, Any]]) -> FdbPoly:
 
     pairs = []
     for term in data:
-        ys, xs = (
-            tuple(sorted((integer_from_json(i), _int(e, side)) for i, e in term[side].items()))
-            for side in ("outer", "inner")
-        )
-        pairs.append(((ys, xs), fraction_from_json(term["coeff"])))
+        key = (_symbols(term["outer"], "outer", 0), _symbols(term["inner"], "inner", 1))
+        pairs.append((key, fraction_from_json(term["coeff"])))
     return FdbPoly.from_terms(pairs)
+
+
+def _symbols(powers: dict[str, Any], side: str, least: int) -> tuple[tuple[int, int], ...]:
+    """The sorted ``(index, power)`` pairs of one side of an fdbPoly term: each key
+    decimal digits for an index >= ``least``, each power a JSON integer >= 1."""
+    pairs = []
+    for i, power in powers.items():
+        if type(i) is not str or not _DIGITS.fullmatch(i):
+            raise ValueError(f"{side} indices must be strings of decimal digits, not {i!r}")
+        index, power = integer_from_json(i), _int(power, side)
+        if index < least:
+            raise ValueError(f"{side} symbols are indexed from {least}, not {index}")
+        if power < 1:
+            raise ValueError(f"{side} powers must be at least 1, not {power}")
+        pairs.append((index, power))
+    return tuple(sorted(_sum_into({}, pairs).items()))
 
 
 def report_to_json(r: VerifyReport) -> dict[str, Any]:

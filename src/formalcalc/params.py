@@ -44,8 +44,10 @@ equal (an ``int`` and a ``Fraction`` of the same value compare and hash
 alike, and a coefficient equals the same value held as a constant
 ParamPoly).  One rule keeps them so: sum raw, with ``_sum_into`` or
 ``_mul_into``, then clean once with ``_stored``, which drops zeros, makes
-integral Fractions ``int`` and demotes constant ParamPolys.  The one
-exception is the derivation kernel's fused pass (``derivations._Kernel``).
+integral Fractions ``int`` and demotes constant ParamPolys.  ``_sum_into``
+is the one accumulator of terms (parsed runs, series sums, ``Exponent``
+linear parts and Faà di Bruno keys too), except in the derivation kernel's
+fused pass (``derivations._Kernel``).
 """
 
 from __future__ import annotations
@@ -176,11 +178,7 @@ class Sparse:
     _key_mul: ClassVar[Callable[[Any, Any], Hashable]]
 
     def __init__(self, terms: Mapping[Any, object] | None = None):
-        self._terms: dict[Any, Coeff] = {}
-        for key, value in (terms or {}).items():
-            value = canonical_coeff(value)
-            if value:
-                self._terms[key] = value
+        self._terms = _stored({k: canonical_coeff(v) for k, v in (terms or {}).items()})
 
     @classmethod
     def _of(cls, terms: dict) -> Sparse:

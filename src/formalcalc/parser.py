@@ -22,8 +22,8 @@ column.  All errors are ParseError with 1-based line/column positions.
 Nesting is capped at ``MAX_NESTING`` levels: each parenthesis, unary minus
 and exponent opens one level, and an expression that goes deeper is a
 ParseError.  Sums and products may have any number of terms; they are
-evaluated in a loop, not by recursion, and a run of ``+`` and ``-`` in an
-exponent is summed in one pass, interning only the sum.  An index of
+evaluated in a loop, not by recursion, and every run of ``+`` and ``-`` is
+summed in one pass (an exponent run interns only its sum).  An index of
 ``l_<k>``, ``y_<i>`` or ``x_<j>`` above ``MAX_TOWER_INDEX`` in absolute value
 is a ParseError.
 """
@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .algebra import Element, Exponent
-from .params import ParamPoly
+from .params import ParamPoly, Sparse
 
 if TYPE_CHECKING:
     from .faadibruno import FdbPoly
@@ -247,11 +247,9 @@ def parse(text: str) -> Node:
 
 # ------------------------------------------------------------- conversions
 
-def _pairwise(first, run: list) -> object:
-    """``first`` followed by each ``(op, value)`` of a run of ``+`` and ``-`` links."""
-    for op, value in run:
-        first = first + value if op == "+" else first - value
-    return first
+def _sparse_total(run: list[tuple[int, Sparse]]) -> Sparse:
+    """The sum of a run of elements or Faà di Bruno polynomials, in one ``from_terms`` call."""
+    return type(run[0][1]).from_terms((k, sign * c) for sign, v in run for k, c in v.items())
 
 
 def _fold(
@@ -260,15 +258,15 @@ def _fold(
     refused: str,
     power: Callable,
     times: Callable | None = None,
-    total: Callable = _pairwise,
+    total: Callable = _sparse_total,
 ):
     """Evaluate a syntax tree with the handlers of one target.
 
     ``leaves`` maps a leaf kind to the function that evaluates its value;
     any other leaf is a ParseError with the message ``refused``.
     ``power(node, fold)`` evaluates a ``^`` node and ``times(node, left,
-    right)``, if given, a ``*`` link; ``total(first, run)`` sums a run of
-    ``+`` and ``-`` links, given as ``(op, value)`` pairs.  A left-deep chain
+    right)``, if given, a ``*`` link; ``total(run)`` sums a run of ``+``
+    and ``-`` links, given as ``(sign, value)`` pairs.  A left-deep chain
     of ``+``, ``-`` and ``*`` links (an n-term sum parses n levels deep) is
     walked in a loop, so recursion stays within the nesting depth, which the
     parser caps.
@@ -288,16 +286,15 @@ def _fold(
         while isinstance(node, BinOp) and node.op != "^":
             links.append(node)
             node = node.left
-        out, run = fold(node), []
+        run = [(1, fold(node))]
         for link in reversed(links):
             right = fold(link.right)
             if link.op != "*":
-                run.append((link.op, right))
+                run.append((1 if link.op == "+" else -1, right))
                 continue
-            if run:
-                out, run = total(out, run), []
-            out = out * right if times is None else times(link, out, right)
-        return total(out, run) if run else out
+            out = total(run) if len(run) > 1 else run[0][1]
+            run = [(1, out * right if times is None else times(link, out, right))]
+        return total(run) if len(run) > 1 else run[0][1]
 
     return fold(node)
 
@@ -320,15 +317,10 @@ def _exponent_times(node: BinOp, left: Exponent, right: Exponent) -> Exponent:
     )
 
 
-def _exponent_total(first: Exponent, run: list[tuple[str, Exponent]]) -> Exponent:
-    """The sum of a run in one dict of linear parts; only the result is interned."""
-    const, linear = first.const, dict(first.linear)
-    for op, value in run:
-        sign = 1 if op == "+" else -1
-        const += sign * value.const
-        for name, m in value.linear:
-            linear[name] = linear.get(name, 0) + sign * m
-    return Exponent(const, linear)
+def _exponent_total(run: list[tuple[int, Exponent]]) -> Exponent:
+    """The sum of a run in one constructor call; only the result is interned."""
+    linear = [(name, sign * m) for sign, v in run for name, m in v.linear]
+    return Exponent(sum(sign * v.const for sign, v in run), linear)
 
 
 def to_exponent(node: Node) -> Exponent:

@@ -9,7 +9,7 @@ from random import Random
 import pytest
 
 from formalcalc.algebra import Element, Exponent, Monomial, YSeries, binom, gen_name
-from formalcalc import jsonio
+from formalcalc import algebra, jsonio
 from formalcalc.checks import random_element, random_exponent
 from formalcalc.derivations import d_dx
 from formalcalc.faadibruno import derivative_tower
@@ -83,6 +83,24 @@ def test_an_empty_linear_part_of_any_type_is_the_empty_tuple():
         assert e.linear == () and type(e.linear) is tuple and e is Exponent.of(e.const)
         a = Element.gen(0, e) + Element.gen(0, Exponent.param("r"))
         assert str(a) == f"x^({e.const}) + x^r"
+
+
+def test_a_repeated_name_adds_its_coefficients():
+    assert Exponent(0, [("r", 1), ("r", 1)]) is Exponent.param("r", 2)
+    assert Exponent(0, [("r", 1), ("r", -1)]) is Exponent.of(0)
+    assert Exponent(1, [("s", 2), ("r", 1), ("s", -1)]) is Exponent(1, {"r": 1, "s": 1})
+
+
+def test_a_coefficient_that_is_not_an_integer_is_refused():
+    for bad in (Fraction(1, 2), 2.7, Fraction(-7, 3)):
+        with pytest.raises(ValueError, match="must be integers"):
+            Exponent(1, {"r": bad})
+        with pytest.raises(ValueError, match="must be integers"):
+            Exponent(1, [("r", 1), ("r", bad)])
+    # an integral Fraction is an integer; it used to print 0*r + 1 for 1/2
+    assert Exponent(1, {"r": Fraction(4, 2)}) is Exponent.param("r", 2, 1)
+    assert type(Exponent(1, {"r": Fraction(4, 2)}).linear[0][1]) is int
+    assert str(Element.gen(0, Exponent(1, {"r": 0})) + Element.gen(0, 1)) == "2*x"
 
 
 def _exponents(value):
@@ -457,6 +475,38 @@ def test_divided_form_compares_values_across_denominators():
     scaled = YSeries.divided([n * 3 for n in ordinary._num], ordinary._den * 3)
     assert scaled == ordinary
     assert scaled.coefficients() == ordinary.coefficients()
+
+
+def _groupings(series):
+    """The sum of the series under every bracketing of the pairwise ``+``, left to right."""
+    if len(series) == 1:
+        yield series[0]
+        return
+    for cut in range(1, len(series)):
+        for left in _groupings(series[:cut]):
+            for right in _groupings(series[cut:]):
+                yield left + right
+
+
+def test_many_series_sum_equals_the_pairwise_sums_in_every_grouping():
+    """``_sum_series`` puts the series over one denominator and truncates to the
+    smallest order, whatever the dens and orders of its summands."""
+    rng = Random(34)
+    r = ParamPoly.param("r")
+    for _ in range(6):
+        series = []
+        for den, order in zip((1, 2, 3, 6), rng.sample(range(1, 5), 4)):
+            a = random_element(rng, params=("r",)) * Fraction(1, den)
+            series.append(d_dx().exp_series(a, order) * rng.choice((1, -1, r)))
+        assert len({s._den for s in series}) > 1
+        total = algebra._sum_series(series)
+        assert total.order == min(s.order for s in series)
+        assert all(type(v) in (int, ParamPoly) for n in total._num for _, v in n.items())
+        for grouped in _groupings(series):
+            assert grouped == total and grouped.coefficients() == total.coefficients()
+        for k in range(total.order + 1):
+            assert total.coefficient(k) == sum((s.coefficient(k) for s in series), Element.zero())
+    assert algebra._sum_series([YSeries.zero(2)]) == YSeries.zero(2)
 
 
 def test_divided_form_tells_series_apart():

@@ -44,3 +44,16 @@ def test_runtime_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_no_assert_serves_as_a_runtime_check():
+    """``python -O`` strips asserts, so the package checks with raise, never assert."""
+    sources = sorted(Path(formalcalc.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

@@ -8,6 +8,7 @@ and coefficient by coefficient.
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial, prod
+import time
 
 import pytest
 
@@ -21,6 +22,7 @@ from formalcalc.combinatorics import (
     stirling_chain,
 )
 from formalcalc.derivations import d_dx
+from formalcalc.parser import parse_element
 from formalcalc.expansions import (
     FORMS,
     binomial_series,
@@ -375,3 +377,15 @@ def test_closed_form_series_sum():
 def test_closed_form_rejects_negative_indices():
     with pytest.raises(ValueError):
         closed_form_series(Element.gen(-1), 3)
+
+
+def test_a_long_element_is_summed_once():
+    """The terms' series are added in one pass; adding each to the growing sum
+    copied it at every term (7.9 s for these 3,000 terms)."""
+    a = parse_element(" + ".join(f"l_{i % 7}(x)^{i}" for i in range(1, 3001)))
+    start = time.perf_counter()
+    series = closed_form_series(a, 2)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"{elapsed:.2f}s over the 2s budget"
+    assert series == d_dx().exp_series(a, 2)
+    assert closed_form_series(Element.zero(), 2) == YSeries.zero(2)

@@ -115,6 +115,27 @@ def test_fdbpoly_arithmetic():
                 assert c and type(c) is (int if c.denominator == 1 else Fraction), got
 
 
+def test_fdbpoly_ring_laws_random():
+    """Products of polynomials that share symbols merge their keys' powers."""
+    rng = Random(34)
+    one = FdbPoly.one()
+    for _ in range(40):
+        a, b, c = random_fdbpoly(rng), random_fdbpoly(rng), random_fdbpoly(rng)
+        assert (a * b) * c == a * (b * c)
+        assert a * b == b * a
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) + c == a + (b + c)
+        assert a * one == a and a + FdbPoly.zero() == a
+        assert a ** 3 == a * a * a
+        assert a - a == 0
+        for (ys, xs), _ in (a * b * c).items():
+            for side in (ys, xs):
+                assert list(side) == sorted(side) and len({i for i, _ in side}) == len(side)
+                assert all(p >= 1 for _, p in side)
+    # y_1*x_2 times y_1^2*y_0: the powers of a shared symbol add
+    assert (y(1) * x(2)) * (y(1) ** 2 * y(0)) == FdbPoly({(((0, 1), (1, 3)), ((2, 1),)): 1})
+
+
 def test_fdbpoly_string():
     assert str(derivative_tower(2)[2]) == "y_2*x_1^2 + y_1*x_2"
     assert str(FdbPoly.zero()) == "0"

@@ -13,7 +13,7 @@ from formalcalc import cli, latexio, qpoly, render
 from formalcalc.algebra import Element, Exponent, YSeries
 from formalcalc.checks import random_element, random_qpoly
 from formalcalc.derivations import d_dx
-from formalcalc.faadibruno import derivative_tower, umbral_shift
+from formalcalc.faadibruno import FdbPoly, derivative_tower, umbral_shift
 from formalcalc.jsonio import (
     dumps,
     element_from_json,
@@ -170,6 +170,35 @@ def test_integer_fields_read_json_integers():
     assert str(yseries_from_json({"order": 0, "coeffs": [[_term(gen=0, power=2)]]})) == "r^2*x^r"
     poly = fdbpoly_from_json([{"coeff": "3", "outer": {"1": 2}, "inner": {"2": 1}}])
     assert list(poly.items()) == [((((1, 2),), ((2, 1),)), 3)]
+
+
+@pytest.mark.parametrize(
+    "side, powers, message",
+    [
+        ("outer", {"-3": 1}, "outer indices must be strings of decimal digits"),
+        ("inner", {"0": 2}, "inner symbols are indexed from 1"),
+        ("outer", {"1": 0}, "outer powers must be at least 1"),
+        ("inner", {"1": -2}, "inner powers must be at least 1"),
+        ("outer", {" 1_0 ": 1}, "outer indices must be strings of decimal digits"),
+        ("inner", {"+2": 3}, "inner indices must be strings of decimal digits"),
+        ("inner", {"1.0": 1}, "inner indices must be strings of decimal digits"),
+        ("outer", {"": 1}, "outer indices must be strings of decimal digits"),
+    ],
+)
+def test_fdbpoly_reader_refuses_what_the_constructors_refuse(side, powers, message):
+    term = {"coeff": "1", "outer": {}, "inner": {}, side: powers}
+    with pytest.raises(ValueError, match=f"^{message}"):
+        fdbpoly_from_json([term])
+
+
+def test_fdbpoly_reader_keeps_the_lowest_indices_and_adds_repeats():
+    poly = fdbpoly_from_json([{"coeff": "2", "outer": {"0": 1, "00": 2}, "inner": {"1": 1}}])
+    assert list(poly.items()) == [((((0, 3),), ((1, 1),)), 2)]
+    assert poly == FdbPoly.outer_symbol(0) ** 3 * FdbPoly.inner_symbol(1) * 2
+    rows = derivative_tower(12)
+    assert len(rows) == 13
+    for poly in rows:
+        assert fdbpoly_from_json(json.loads(dumps(fdbpoly_to_json(poly)))) == poly
 
 
 def test_qpoly_and_fdb_codecs():

@@ -31,7 +31,6 @@ if TYPE_CHECKING:
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-_DIGITS = re.compile(r"[0-9]+")  # an fdbPoly symbol index
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")  # the schema's ``rational``
 
 
@@ -173,7 +172,7 @@ def _symbols(powers: dict[str, Any], side: str, least: int) -> tuple[tuple[int, 
     decimal digits for an index >= ``least``, each power a JSON integer >= 1."""
     pairs = []
     for i, power in powers.items():
-        if type(i) is not str or not _DIGITS.fullmatch(i):
+        if type(i) is not str or not (i.isascii() and i.isdigit()):
             raise ValueError(f"{side} indices must be strings of decimal digits, not {i!r}")
         index, power = integer_from_json(i), _int(power, side)
         if index < least:

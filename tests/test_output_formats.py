@@ -183,6 +183,8 @@ def test_integer_fields_read_json_integers():
         ("inner", {"+2": 3}, "inner indices must be strings of decimal digits"),
         ("inner", {"1.0": 1}, "inner indices must be strings of decimal digits"),
         ("outer", {"": 1}, "outer indices must be strings of decimal digits"),
+        ("outer", {"\u0661": 1}, "outer indices must be strings of decimal digits"),
+        ("inner", {"\u00b2": 1}, "inner indices must be strings of decimal digits"),
     ],
 )
 def test_fdbpoly_reader_refuses_what_the_constructors_refuse(side, powers, message):

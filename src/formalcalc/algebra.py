@@ -183,10 +183,7 @@ class Exponent:
 
 def _intern(const: Scalar, linear: tuple[tuple[str, int], ...]) -> Exponent:
     """The one Exponent of this value; ``linear`` must already be canonical."""
-    if type(const) is not int:
-        const = Fraction(const)
-        if const.denominator == 1:
-            const = const.numerator
+    const = canonical_coeff(const)
     key = (const, linear) if linear else const
     e = _INTERN.get(key)
     if e is None:
@@ -386,11 +383,6 @@ class Element(Sparse):
     def generator_indices(self) -> set[int]:
         return {i for mono in self._terms for i, _ in mono}
 
-    def _numerators(self) -> tuple[int, Element]:
-        """(d, d * self) with d > 0 least such that every rational coefficient is an integer."""
-        d, terms = _numerators(self._terms)
-        return d, Element._of(terms)
-
     def substitute_param(self, name: str, value: Scalar) -> Element:
         """Specialize a parameter to an exact rational everywhere it occurs."""
         return Element.from_terms(
@@ -408,29 +400,24 @@ class Element(Sparse):
         return f"Element({self})"
 
 
-def _numerators(terms: dict[Monomial, Coeff], d: int = 0) -> tuple[int, dict[Monomial, Coeff]]:
-    """(d, d * terms) for the least d > 0 that makes every coefficient integer-valued,
-    or for the given d, which every coefficient's denominator must divide.
+def _cleared(num: list[Element], den: int) -> tuple[list[Element], int]:
+    """(d * num, d * den) for the least d > 0 that makes every numerator integer-valued;
+    ``num`` itself when d is 1.
 
     Integer arithmetic is much cheaper than Fraction arithmetic, so series
     work on numerators (see YSeries).  A ParamPoly coefficient counts the
     denominators of all its values.
     """
-    d = d or lcm(*(c.denominator for c in terms.values()))
-    if d == 1:
-        return 1, terms
-    return d, {
-        m: c * d if type(c) is ParamPoly else c.numerator * (d // c.denominator)
-        for m, c in terms.items()
-    }
-
-
-def _cleared(num: list[Element], den: int) -> tuple[list[Element], int]:
-    """(d * num, d * den) for the least d > 0 that makes every numerator integer-valued."""
     if not num:
         raise ValueError("a series needs at least its order-0 coefficient")
     d = lcm(*(c.denominator for n in num for c in n._terms.values()))
-    return [Element._of(_numerators(n._terms, d)[1]) for n in num] if d > 1 else num, den * d
+    if d == 1:
+        return num, den
+    return [
+        Element._of({m: c * d if type(c) is ParamPoly else c.numerator * (d // c.denominator)
+                     for m, c in n._terms.items()})
+        for n in num
+    ], den * d
 
 
 class YSeries:
@@ -474,8 +461,8 @@ class YSeries:
 
     @classmethod
     def of_element(cls, a: "Element | Scalar", order: int) -> YSeries:
-        den, num = (a if isinstance(a, Element) else Element.const(a))._numerators()
-        return cls._of([num] + [Element.zero()] * order, den)
+        num, den = _cleared([a if isinstance(a, Element) else Element.const(a)], 1)
+        return cls._of(num + [Element.zero()] * order, den)
 
     @property
     def order(self) -> int:
@@ -541,7 +528,7 @@ class YSeries:
         o = Element._coerce(other)
         if o is None:
             return NotImplemented
-        d, o = o._numerators()
+        (o,), d = _cleared([o], 1)
         return YSeries._of([c * o for c in self._num], self._den * d)
 
     __rmul__ = __mul__

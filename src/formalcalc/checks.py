@@ -30,11 +30,9 @@ _COEFFS = (
 )
 
 
-def random_exponent(
-    rng: Random, params: tuple[str, ...] = (), span: int = 2
-) -> Exponent:
-    """A small exponent, possibly involving the given parameter names."""
-    const = Fraction(rng.randrange(-span, span + 1))
+def random_exponent(rng: Random, params: tuple[str, ...] = ()) -> Exponent:
+    """A small exponent, constant part in -2..2, possibly involving the given parameter names."""
+    const = Fraction(rng.randrange(-2, 3))
     linear = {}
     for name in params:
         if rng.random() < 0.5:
@@ -66,15 +64,12 @@ def random_element(
     return out
 
 
-def random_qpoly(rng: Random, max_degree: int, allow_zero: bool = True) -> QPoly:
-    """Dense rational polynomial with small integer coefficients."""
+def random_qpoly(rng: Random, max_degree: int) -> QPoly:
+    """Dense rational polynomial with small integer coefficients; may be zero."""
     from . import qpoly
 
     degree = rng.randrange(0, max_degree + 1)
-    coeffs = [rng.randrange(-3, 4) for _ in range(degree + 1)]
-    if not allow_zero and not any(coeffs):
-        coeffs[rng.randrange(len(coeffs))] = 1
-    return qpoly.normalize(coeffs)
+    return qpoly.normalize([rng.randrange(-3, 4) for _ in range(degree + 1)])
 
 
 def verify_automorphism(

@@ -260,6 +260,8 @@ _WEIGHT_EXPONENT_CAP = 9999
 
 
 def _run_umbral(args: argparse.Namespace) -> int:
+    import re
+    from decimal import Decimal
     from fractions import Fraction
 
     from .faadibruno import umbral_shift
@@ -276,8 +278,14 @@ def _run_umbral(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"weight {part!r}: exponent above the cap {_WEIGHT_EXPONENT_CAP} in absolute value"
             )
+    weights = []
     try:
-        weights = [Fraction(part) for part in parts]
+        for part in parts:
+            # Fraction checks its grammar on the text with each digit run cut to one digit,
+            # since it reads at most 4,300 digits; Decimal reads them at any length
+            Fraction(re.sub(r"\d+", "1", part))
+            num, _, den = part.partition("/")
+            weights.append(Fraction(Decimal(num)) / int(Decimal(den or 1)))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"could not read weights from {args.B!r}") from exc
     shift = umbral_shift(weights, args.depth)

@@ -6,7 +6,8 @@ Three interlocking combinatorial families drive the closed-form expansions:
   read from rows built by the recurrence
   c(k, j) = c(k-1, j-1) + (k-1)*c(k-1, j)
   (Graham, Knuth and Patashnik, *Concrete Mathematics*, section 6.1).
-  The composition-sum definition
+  ``stirling1_by_recurrence`` is another name for ``stirling1``.  The
+  composition-sum definition
   (k!/j!) * sum 1/(i_1*...*i_j) over positive i_1+...+i_j = k
   is kept as the oracle ``stirling1_by_compositions``.
 
@@ -91,18 +92,8 @@ def stirling1_by_compositions(k: int, j: int) -> int:
     return value
 
 
-def stirling1_by_recurrence(k: int, j: int) -> int:
-    """The same numbers from c(k,j) = c(k-1,j-1) + (k-1)c(k-1,j); test oracle."""
-    if k < 0 or j < 0:
-        raise ValueError("stirling1 arguments must be nonnegative")
-    row = [1]  # k = 0
-    for kk in range(1, k + 1):
-        row = [0] + row
-        row = [
-            row[jj] + (kk - 1) * (row[jj + 1] if jj + 1 < len(row) else 0)
-            for jj in range(len(row))
-        ]
-    return row[j] if j < len(row) else 0
+# a second public name for stirling1, which is the recurrence
+stirling1_by_recurrence = stirling1
 
 
 def stirling_rows(max_k: int) -> list[list[int]]:

@@ -52,7 +52,7 @@ from operator import add, or_, setitem
 from typing import Callable, Mapping
 
 from . import params
-from .algebra import Element, Exponent, Monomial, YSeries, gen_name
+from .algebra import Element, Exponent, Monomial, YSeries, _cleared, gen_name
 from .params import ParamPoly
 
 
@@ -127,9 +127,8 @@ class Derivation:
         kernel = _Kernel(self, self.check_closure(a))
         # differentiate den * a, whose coefficients are integer-valued: the
         # D^k(den * a) are the numerators of the divided-power form
-        den, current = a._numerators()
-        num = [current]
-        terms = kernel.split(current)
+        num, den = _cleared([a], 1)
+        terms = kernel.split(num[0])
         for _ in range(order):
             terms = kernel.step(terms)
             num.append(kernel.element(terms))
@@ -242,10 +241,9 @@ class _Kernel:
         for p, e in part:
             total = exps.pop(p, None)
             total = e if total is None else total + e
-            n = floor(total.const)
-            carry[p] = n * self.unit
-            rest = total - n
-            if not rest.is_zero:
+            carry[p] = self.entries[total]
+            rest = self.entries.parts.get(total)
+            if rest is not None:
                 exps[p] = rest
         return tuple(sorted(exps.items())), tuple(carry)
 

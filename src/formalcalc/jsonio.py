@@ -4,7 +4,8 @@ Rationals are strings like ``"-3/2"`` (exactness survives any JSON
 round-trip; floats never appear), read by the schema's ``rational`` grammar
 and nothing else.  Integers of any size are written in
 full (``render.integer``) and read back by ``integer_from_json``, also past
-the interpreter's limit on int-to-str digits.  ``dump`` streams a document;
+the interpreter's limit on int-to-str digits.  A parameter name is read only
+if the parser reads it back as that one parameter.  ``dump`` streams a document;
 a series document shares one dict per distinct factor, written once.  The
 document shapes produced by the CLI are described by
 ``schema/cli-output.schema.json``, shipped inside the package;
@@ -35,17 +36,11 @@ _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")  # the schema's ``ratio
 
 
 def integer_from_json(s: str) -> int:
-    """The integer of a string of decimal digits, at any size.
-
-    ``int`` refuses one past ``sys.get_int_max_str_digits()`` digits;
-    ``Decimal`` reads it exactly.  Serves as ``json.loads(parse_int=...)``.
-    """
-    try:
-        return int(s)
-    except ValueError:
-        if not _INTEGER.fullmatch(s):
-            raise
-        return int(Decimal(s))
+    """The integer of a signed string of ASCII digits, at any size: ``Decimal`` reads past
+    ``sys.get_int_max_str_digits()`` digits.  Serves as ``json.loads(parse_int=...)``."""
+    if not _INTEGER.fullmatch(s):
+        raise ValueError(f"an integer must be a string of decimal digits, not {s!r}")
+    return int(Decimal(s))
 
 
 def _int(value: object, field: str) -> int:
@@ -75,10 +70,23 @@ def parampoly_to_json(p: ParamPoly) -> list[dict[str, Any]]:
     ]
 
 
+def _param(name: object) -> str:
+    """``name``, if the parser reads it back as that one parameter; else ValueError."""
+    from .parser import _FUNCTIONS, _tokenize
+
+    try:
+        tokens = _tokenize(name) if type(name) is str else ()
+    except ValueError:
+        tokens = ()
+    if len(tokens) != 2 or tokens[0][:2] != ("name", name) or name in ("x", "y", *_FUNCTIONS):
+        raise ValueError(f"not a parameter name: {name!r}")
+    return name
+
+
 def parampoly_from_json(data: list[dict[str, Any]]) -> ParamPoly:
     pairs = []
     for term in data:
-        key = tuple(sorted((str(n), _int(p, "power")) for n, p in term["powers"].items()))
+        key = tuple(sorted((_param(n), _int(p, "power")) for n, p in term["powers"].items()))
         pairs.append((key, fraction_from_json(term["coeff"])))
     return ParamPoly.from_terms(pairs)
 
@@ -90,7 +98,7 @@ def exponent_to_json(e: Exponent) -> dict[str, Any]:
 def exponent_from_json(data: dict[str, Any]) -> Exponent:
     return Exponent(
         fraction_from_json(data["const"]),
-        tuple((str(n), _int(m, "linear coefficient")) for n, m in data["linear"].items()),
+        tuple((_param(n), _int(m, "linear coefficient")) for n, m in data["linear"].items()),
     )
 
 

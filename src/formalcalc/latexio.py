@@ -49,8 +49,8 @@ def latex_yseries(s: YSeries) -> str:
     return render.series(LATEX, s)
 
 
-def latex_qpoly(p: QPoly, var: str = "x") -> str:
-    return render.qpoly(LATEX, p, var)
+def latex_qpoly(p: QPoly) -> str:
+    return render.qpoly(LATEX, p)
 
 
 def latex_fdbpoly(p: FdbPoly) -> str:

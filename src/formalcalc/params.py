@@ -266,16 +266,7 @@ class Sparse:
             return self._of({})
         if c == 1:  # values are never mutated, so the polynomial serves as it is
             return self
-        if type(c) is ParamPoly:
-            scaled = {k: v * c for k, v in self._terms.items()}
-        else:  # a rational scales each ParamPoly value's terms here, not in its __mul__
-            scaled = {
-                k: ParamPoly._of(_stored({pk: pv * c for pk, pv in v._terms.items()}))
-                if type(v) is ParamPoly
-                else v * c
-                for k, v in self._terms.items()
-            }
-        return self._of(_stored(scaled))
+        return self._of(_stored({k: v * c for k, v in self._terms.items()}))
 
     __rmul__ = __mul__
 

@@ -114,5 +114,5 @@ def eval_at(p: Sequence[int | Fraction], value: Fraction | int) -> int | Fractio
     return canonical_coeff(out)
 
 
-def to_string(p: Sequence[int | Fraction], var: str = "x") -> str:
-    return render.qpoly(render.TEXT, p, var)
+def to_string(p: Sequence[int | Fraction]) -> str:
+    return render.qpoly(render.TEXT, p)

@@ -180,10 +180,10 @@ def fdbpoly(style: Style, p) -> str:
     )
 
 
-def qpoly(style: Style, p: Sequence[int | Fraction], var: str = "x") -> str:
-    """A dense polynomial [a0, a1, ...] in ``var``, highest power first."""
+def qpoly(style: Style, p: Sequence[int | Fraction]) -> str:
+    """A dense polynomial [a0, a1, ...] in x, highest power first."""
     return join(
-        term(style, p[k], [power(style, var, k)] if k else [])
+        term(style, p[k], [power(style, "x", k)] if k else [])
         for k in range(len(p) - 1, -1, -1)
         if p[k]
     )

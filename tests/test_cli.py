@@ -257,6 +257,18 @@ def test_umbral_prints_integers_past_the_str_limit(fmt):
         assert fraction_from_json(doc["weights"][0]) == Fraction(10**5000)
 
 
+def test_umbral_reads_back_a_weight_past_the_str_limit():
+    """The 5,001-digit weight that ``--B 1e5000`` prints reads back to the same output,
+    and a weight of 4,400 digits over 3 is read too."""
+    digits = "1" + "0" * 5000
+    for fmt in ("text", "json"):
+        short = run_cli("--format", fmt, "umbral", "--B", "1e5000", "--depth", "1")
+        long = run_cli("--format", fmt, "umbral", "--B", digits, "--depth", "1")
+        assert long.returncode == short.returncode == 0, long.stderr
+        assert long.stdout == short.stdout
+    assert cli.main(["umbral", "--B", "1" * 4400 + "/3", "--depth", "1"]) == 0
+
+
 def test_weight_exponent_cap(capsys):
     """An exponent past 9999 is refused before Fraction builds 10^exponent."""
     for weights in ("1e999999", "1,2E-10000", "1e+0_0_10000"):

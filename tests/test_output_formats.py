@@ -11,6 +11,7 @@ import pytest
 
 from formalcalc import cli, latexio, qpoly, render
 from formalcalc.algebra import Element, Exponent, YSeries
+from formalcalc.params import ParamPoly
 from formalcalc.checks import random_element, random_qpoly
 from formalcalc.derivations import d_dx
 from formalcalc.faadibruno import FdbPoly, derivative_tower, umbral_shift
@@ -80,7 +81,7 @@ def test_integers_past_the_str_digit_limit():
     assert fraction_from_json(fraction_to_json(q)) == q
     assert fraction_from_json(digits) == big
     assert integer_from_json(digits) == big and integer_from_json("-12") == -12
-    for junk in ("1e5", "12a", "1" * 5000 + "x"):
+    for junk in ("1e5", "12a", "1" * 5000 + "x", " 12 ", "1_2", "\u0661\u0662"):
         with pytest.raises(ValueError):
             integer_from_json(junk)
     assert latexio.latex_fraction(q) == f"-\\tfrac{{{digits}}}{{3}}"
@@ -201,6 +202,26 @@ def test_fdbpoly_reader_keeps_the_lowest_indices_and_adds_repeats():
     assert len(rows) == 13
     for poly in rows:
         assert fdbpoly_from_json(json.loads(dumps(fdbpoly_to_json(poly)))) == poly
+
+
+@pytest.mark.parametrize("name", ["x", "y", "log", "exp", "l_3", "y_1", "x_2", "2r", "r s",
+                                  "log(x) + r", " r", ""])
+def test_param_readers_refuse_names_the_parser_reads_otherwise(name):
+    """A loaded name must print as text that parses back to that one parameter."""
+    with pytest.raises(ValueError, match=f"^not a parameter name: {re.escape(repr(name))}$"):
+        parampoly_from_json([{"coeff": "1", "powers": {name: 1}}])
+    with pytest.raises(ValueError, match=f"^not a parameter name: {re.escape(repr(name))}$"):
+        exponent_from_json({"const": "0", "linear": {name: 1}})
+
+
+@pytest.mark.parametrize("name", ["r", "s2", "l_a", "_t", "xs"])
+def test_param_readers_take_names_the_parser_reads_back(name):
+    poly = parampoly_from_json([{"coeff": "1", "powers": {name: 2}}])
+    e = exponent_from_json({"const": "1", "linear": {name: 2}})
+    assert poly == ParamPoly.param(name) ** 2 and e is Exponent.param(name, 2, 1)
+    a = Element.gen(0, e) * poly
+    assert element_from_json(json.loads(dumps(element_to_json(a)))) == a
+    assert parse_element(str(a)) == a
 
 
 def test_qpoly_and_fdb_codecs():

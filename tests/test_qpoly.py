@@ -58,7 +58,6 @@ def test_to_string():
     assert qpoly.to_string([]) == "0"
     assert qpoly.to_string(qpoly.from_coeffs([0, -1, 2, 1])) == "x^3 + 2*x^2 - x"
     assert qpoly.to_string(qpoly.from_coeffs([Fraction(1, 2)])) == "1/2"
-    assert qpoly.to_string(qpoly.from_coeffs([0, 1]), var="t") == "t"
 
 
 # ------------------------------------------- oracle: a Fraction-only reference

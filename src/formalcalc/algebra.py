@@ -196,10 +196,10 @@ def _intern(const: Scalar, linear: tuple[tuple[str, int], ...]) -> Exponent:
 
 
 def _integer(m: object) -> int:
-    q = m if type(m) is int else Fraction(m)
-    if q.denominator != 1:
+    q = m if type(m) is int else canonical_coeff(m)
+    if type(q) is not int:
         raise ValueError(f"parameter coefficients in exponents must be integers, not {m!r}")
-    return int(q)
+    return q
 
 
 def _sum(a: Exponent, b: Exponent) -> Exponent:

@@ -261,33 +261,26 @@ _WEIGHT_EXPONENT_CAP = 9999
 
 def _run_umbral(args: argparse.Namespace) -> int:
     import re
-    from decimal import Decimal
     from fractions import Fraction
 
+    from . import render
     from .faadibruno import umbral_shift
     from .qpoly import to_string as qpoly_str
 
-    parts = [part.strip() for part in args.B.split(",")]
+    parts = [part.strip(render.SPACE) for part in args.B.split(",")]
     if any(parts) and not all(parts):  # else every later weight moves down a place
         raise ValueError(f"weight {parts.index('') + 1} of {args.B!r} is empty")
-    parts = [part for part in parts if part]
-    for part in parts:  # before Fraction builds 10^exponent
-        _, e, exponent = part.lower().partition("e")
-        digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
-        if e and digits.isdecimal() and (len(digits) > 9 or int(digits) > _WEIGHT_EXPONENT_CAP):
-            raise ValueError(
+    weights = []
+    for part in filter(None, parts):
+        match = re.fullmatch(render.WEIGHT, part)
+        if match is None:
+            raise ValueError(f"could not read weights from {args.B!r}")
+        digits = match["exp"] and match["exp"].lstrip("+-").lstrip("0")
+        if digits and (len(digits) > 9 or render.read_number(digits) > _WEIGHT_EXPONENT_CAP):
+            raise ValueError(  # before 10^exponent is built
                 f"weight {part!r}: exponent above the cap {_WEIGHT_EXPONENT_CAP} in absolute value"
             )
-    weights = []
-    try:
-        for part in parts:
-            # Fraction checks its grammar on the text with each digit run cut to one digit,
-            # since it reads at most 4,300 digits; Decimal reads them at any length
-            Fraction(re.sub(r"\d+", "1", part))
-            num, _, den = part.partition("/")
-            weights.append(Fraction(Decimal(num)) / int(Decimal(den or 1)))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"could not read weights from {args.B!r}") from exc
+        weights.append(Fraction(render.read_number(part)))
     shift = umbral_shift(weights, args.depth)
     return _emit(
         args.format,

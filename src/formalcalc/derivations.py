@@ -88,13 +88,6 @@ class Derivation:
                 return img
         raise ClosureError(index, self.name)
 
-    def has_image(self, index: int) -> bool:
-        try:
-            self.image(index)
-        except ClosureError:
-            return False
-        return True
-
     def check_closure(self, a: Element) -> set[int]:
         """Verify every generator reachable from ``a`` has an image; return their indices.
 

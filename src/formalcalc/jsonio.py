@@ -4,11 +4,12 @@ Rationals are strings like ``"-3/2"`` (exactness survives any JSON
 round-trip; floats never appear), read by the schema's ``rational`` grammar
 and nothing else.  Integers of any size are written in
 full (``render.integer``) and read back by ``integer_from_json``, also past
-the interpreter's limit on int-to-str digits.  A parameter name is read only
-if the parser reads it back as that one parameter.  ``dump`` streams a document;
-a series document shares one dict per distinct factor, written once.  The
-document shapes produced by the CLI are described by
-``schema/cli-output.schema.json``, shipped inside the package;
+the interpreter's limit on int-to-str digits.  The readers match the lexicon
+in ``render``, as the parser does: a parameter name is read only if the parser
+reads it back as that one parameter, and an index only up to its cap.
+``dump`` streams a document; a series document shares one dict per distinct
+factor, written once.  The document shapes produced by the CLI are described
+by ``schema/cli-output.schema.json``, shipped inside the package;
 ``load_schema`` returns it as a dict.
 """
 
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import json
 import re
-from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING, Any, Callable, Iterator, TextIO
@@ -31,16 +31,12 @@ if TYPE_CHECKING:
     from .report import VerifyReport
 
 
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")  # the schema's ``rational``
-
-
 def integer_from_json(s: str) -> int:
-    """The integer of a signed string of ASCII digits, at any size: ``Decimal`` reads past
-    ``sys.get_int_max_str_digits()`` digits.  Serves as ``json.loads(parse_int=...)``."""
-    if not _INTEGER.fullmatch(s):
+    """The integer of a signed string of ASCII digits, at any size (``render.read_number``).
+    Serves as ``json.loads(parse_int=...)``."""
+    if not re.fullmatch(render.INTEGER, s):
         raise ValueError(f"an integer must be a string of decimal digits, not {s!r}")
-    return int(Decimal(s))
+    return render.read_number(s)
 
 
 def _int(value: object, field: str) -> int:
@@ -56,11 +52,10 @@ def fraction_to_json(q: Fraction) -> str:
 
 def fraction_from_json(s: str) -> Fraction:
     """The value of a schema ``rational``, ``-?[0-9]+(/[1-9][0-9]*)?``, at any size."""
-    match = _RATIONAL.fullmatch(s) if type(s) is str else None
+    match = re.fullmatch(render.RATIONAL, s) if type(s) is str else None
     if match is None:
         raise ValueError(f"a rational must be a string like '-3/2', not {s!r}")
-    num, den = match.groups()
-    return Fraction(integer_from_json(num), integer_from_json(den) if den else 1)
+    return Fraction(render.read_number(s))
 
 
 def parampoly_to_json(p: ParamPoly) -> list[dict[str, Any]]:
@@ -72,13 +67,8 @@ def parampoly_to_json(p: ParamPoly) -> list[dict[str, Any]]:
 
 def _param(name: object) -> str:
     """``name``, if the parser reads it back as that one parameter; else ValueError."""
-    from .parser import _FUNCTIONS, _tokenize
-
-    try:
-        tokens = _tokenize(name) if type(name) is str else ()
-    except ValueError:
-        tokens = ()
-    if len(tokens) != 2 or tokens[0][:2] != ("name", name) or name in ("x", "y", *_FUNCTIONS):
+    match = re.match(render.TOKEN, name) if type(name) is str else None
+    if not match or match.lastgroup != "name" or match.end() < len(name) or name in render.RESERVED:
         raise ValueError(f"not a parameter name: {name!r}")
     return name
 
@@ -124,7 +114,8 @@ def element_to_json(a: Element) -> list[dict[str, Any]]:
 def element_from_json(data: list[dict[str, Any]]) -> Element:
     pairs = []
     for term in data:
-        factors = ((_int(p["gen"], "gen"), exponent_from_json(p["exp"])) for p in term["monomial"])
+        factors = ((render.read_index(_int(p["gen"], "gen")), exponent_from_json(p["exp"]))
+                   for p in term["monomial"])
         pairs.append((Monomial(tuple(factors)), parampoly_from_json(term["coeff"])))
     return Element.from_terms(pairs)
 
@@ -176,13 +167,13 @@ def fdbpoly_from_json(data: list[dict[str, Any]]) -> FdbPoly:
 
 
 def _symbols(powers: dict[str, Any], side: str, least: int) -> tuple[tuple[int, int], ...]:
-    """The sorted ``(index, power)`` pairs of one side of an fdbPoly term: each key
-    decimal digits for an index >= ``least``, each power a JSON integer >= 1."""
+    """The sorted ``(index, power)`` pairs of one side of an fdbPoly term: each key ASCII
+    digits for an index from ``least`` to its cap, each power a JSON integer >= 1."""
     pairs = []
     for i, power in powers.items():
-        if type(i) is not str or not (i.isascii() and i.isdigit()):
+        if type(i) is not str or not re.fullmatch(render.DIGITS, i):
             raise ValueError(f"{side} indices must be strings of decimal digits, not {i!r}")
-        index, power = integer_from_json(i), _int(power, side)
+        index, power = render.read_index(i), _int(power, side)
         if index < least:
             raise ValueError(f"{side} symbols are indexed from {least}, not {index}")
         if power < 1:

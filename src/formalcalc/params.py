@@ -416,13 +416,15 @@ def canonical_coeff(value: object) -> Coeff:
 
     A plain ``int`` when the value is an integer, a ``Fraction`` when it is
     another rational, and a ParamPoly only when a parameter appears.
-    ParamPoly constants are demoted; other numbers go through ``Fraction``.
+    ParamPoly constants are demoted; other numbers go through ``Fraction``; text raises.
     """
     if type(value) is int:
         return value
     if type(value) is not Fraction:
         if isinstance(value, ParamPoly):
             return value.demoted()
+        if isinstance(value, str):
+            raise TypeError(f"a coefficient must be a number, not the string {value!r}")
         value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 

@@ -11,8 +11,9 @@ Generators: ``x`` (the tower at index 0), ``log(x)``, ``exp(x)``, and
 exp(x)).  ``y_<i>`` and ``x_<j>`` name the composite-derivative alphabet
 and are only meaningful to ``to_fdb``.  Any other name is a symbolic
 parameter, except ``y``, which is reserved for the series variable.
-Numbers are nonnegative integers or fraction literals like ``3/2``
-(there is no division operator); negative values come from unary minus.
+Numbers are nonnegative integers or fraction literals like ``3/2`` (there
+is no division operator); negative values come from unary minus.  Tokens
+are the lexicon's (``render.TOKEN``), all ASCII.
 
 Exponents after ``^`` must be affine in the parameters with integer
 parameter coefficients (``r``, ``2*r+s-1``, ``-3/2``); anything else in an
@@ -24,39 +25,26 @@ and exponent opens one level, and an expression that goes deeper is a
 ParseError.  Sums and products may have any number of terms; they are
 evaluated in a loop, not by recursion, and every run of ``+`` and ``-`` is
 summed in one pass (an exponent run interns only its sum).  An index of
-``l_<k>``, ``y_<i>`` or ``x_<j>`` above ``MAX_TOWER_INDEX`` in absolute value
-is a ParseError.
+``l_<k>``, ``y_<i>`` or ``x_<j>`` above ``render.MAX_TOWER_INDEX`` in absolute
+value is a ParseError.
 """
 
 from __future__ import annotations
 
 import re
-from decimal import Decimal
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
+from . import render
 from .algebra import Element, Exponent
 from .params import ParamPoly, Sparse
 
 if TYPE_CHECKING:
     from .faadibruno import FdbPoly
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<number>\d+(?:/\d+)?)"
-    r"|(?P<lgen>l_-?\d+)"
-    r"|(?P<ysym>y_\d+)"
-    r"|(?P<xsym>x_\d+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*^()])"
-)
-
 # The parser and the conversions below recurse once per nesting level, so the
 # cap keeps them well inside Python's default recursion limit of 1000.
 MAX_NESTING = 100
-# d/dx's closure check on l_k costs time and memory quadratic in k: expanding
-# l_2000(x) took 0.17 s and 30 MB on a 2-CPU Xeon, l_5000(x) 1.0 s and 113 MB.
-MAX_TOWER_INDEX = 2000
 
 # the generators written as named functions of x, by tower index
 _FUNCTIONS = {"log": 1, "exp": -1}
@@ -80,9 +68,10 @@ class Token(NamedTuple):
 
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
+    token = re.compile(render.TOKEN).match
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = token(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos + 1)
         kind = m.lastgroup or ""
@@ -183,12 +172,10 @@ class _Parser:
     def parse_atom(self) -> Node:
         tok = self.advance()
         if tok.kind == "number":
-            num, _, den = tok.text.partition("/")
-            # Decimal reads digits exactly at any length; int() refuses more than 4,300
-            numerator, denominator = int(Decimal(num)), int(Decimal(den or 1))
-            if denominator == 0:
-                raise ParseError("zero denominator", tok.column)
-            return Leaf("number", Fraction(numerator, denominator), tok.column)
+            try:
+                return Leaf("number", Fraction(render.read_number(tok.text)), tok.column)
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", tok.column) from None
         if tok.kind == "lgen" or tok.text in _FUNCTIONS:
             index = _FUNCTIONS[tok.text] if tok.kind == "name" else _index(tok)
             self.expect("(")
@@ -227,12 +214,9 @@ class _Parser:
 def _index(tok: Token) -> int:
     """The index of an ``l_<k>``, ``y_<i>`` or ``x_<j>`` token."""
     try:
-        index = int(tok.text[2:])
-    except ValueError:  # int() refuses more than 4,300 digits
-        raise ParseError("index has too many digits", tok.column) from None
-    if abs(index) > MAX_TOWER_INDEX:
-        raise ParseError(f"index above the cap {MAX_TOWER_INDEX} in absolute value", tok.column)
-    return index
+        return render.read_index(tok.text[2:])
+    except ValueError as exc:
+        raise ParseError(str(exc), tok.column) from None
 
 
 def parse(text: str) -> Node:

@@ -106,13 +106,5 @@ def compose(outer: Sequence[int | Fraction], inner: Sequence[int | Fraction]) ->
     return out
 
 
-def eval_at(p: Sequence[int | Fraction], value: Fraction | int) -> int | Fraction:
-    value = canonical_coeff(value)
-    out: int | Fraction = 0
-    for c in reversed(list(p)):
-        out = out * value + c
-    return canonical_coeff(out)
-
-
 def to_string(p: Sequence[int | Fraction]) -> str:
     return render.qpoly(render.TEXT, p)

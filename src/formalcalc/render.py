@@ -13,6 +13,10 @@ differ only in their tokens, held in a ``Style``: ``TEXT`` here and
 This module imports nothing from the package; the walkers read the fields
 of the values they print.  Every integer that text, LaTeX or JSON prints
 goes through ``integer``, which is exact at any size.
+
+It also holds the lexicon: the ASCII patterns that every reader of numbers,
+names and indices matches, as strings that ``re`` compiles on first use, and
+``read_number`` and ``read_index``, which read what they match.
 """
 
 from __future__ import annotations
@@ -187,3 +191,43 @@ def qpoly(style: Style, p: Sequence[int | Fraction]) -> str:
         for k in range(len(p) - 1, -1, -1)
         if p[k]
     )
+
+
+# ---------------------------------------------------------------- the lexicon
+
+SPACE = " \t\n"
+TOKEN = (  # the parser's tokens, tried in this order
+    f"(?P<ws>[{SPACE}]+)|(?P<number>[0-9]+(?:/[0-9]+)?)"
+    "|(?P<lgen>l_-?[0-9]+)|(?P<ysym>y_[0-9]+)|(?P<xsym>x_[0-9]+)"
+    "|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()])"
+)
+RESERVED = ("x", "y", "log", "exp")  # names the parser reads as no parameter
+RATIONAL = "-?[0-9]+(?:/[1-9][0-9]*)?"  # the schema's ``rational``
+INTEGER = "[+-]?[0-9]+"
+DIGITS = "[0-9]+"  # an index key of a Faà di Bruno polynomial's JSON
+WEIGHT = (  # p/q with q > 0, or a decimal with an optional exponent, as Fraction reads them
+    "[+-]?[0-9]+/[0-9]*[1-9][0-9]*"
+    "|[+-]?(?:[0-9]+(?:[.][0-9]*)?|[.][0-9]+)(?:[eE](?P<exp>[+-]?[0-9]+))?"
+)
+# d/dx's closure check on l_k costs time and memory quadratic in k: expanding
+# l_2000(x) took 0.17 s and 30 MB on a 2-CPU Xeon, l_5000(x) 1.0 s and 113 MB.
+MAX_TOWER_INDEX = 2000
+
+
+def read_number(text: str) -> int | Fraction:
+    """The value of a lexicon number ``p``, ``p/q`` or decimal, at any length (``int`` reads
+    at most 4,300 digits); ZeroDivisionError if ``q`` is 0."""
+    num, _, den = text.partition("/")
+    value = Fraction(Decimal(num)) / int(Decimal(den or 1))
+    return value.numerator if value.denominator == 1 else value
+
+
+def read_index(value: int | str) -> int:
+    """A tower or symbol index, an int or ``-?[0-9]+``, if within ``MAX_TOWER_INDEX``."""
+    try:
+        value = int(value)
+    except ValueError:  # int() refuses more than 4,300 digits
+        raise ValueError("index has too many digits") from None
+    if abs(value) > MAX_TOWER_INDEX:
+        raise ValueError(f"index above the cap {MAX_TOWER_INDEX} in absolute value")
+    return value

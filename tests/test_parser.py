@@ -216,6 +216,10 @@ ENTRY_POINTS = {
 # in the order of the tokenizer, the parser and the three conversions
 REJECTIONS = [
     ("element", "x $ 1", "unexpected character '$'", 3),
+    ("element", "x^\u0663", "unexpected character '\u0663'", 3),
+    ("element", "l_\u0663(x)", "unexpected character '\u0663'", 3),
+    ("element", "\u0663*x", "unexpected character '\u0663'", 1),
+    ("element", "x\u3000+ 1", "unexpected character '\\u3000'", 2),  # repr escapes it
     ("element", "l_2(x", "expected ')', found 'end of input'", 6),
     ("element", "(" * 101 + "x" + ")" * 101, "expression nested deeper than 100 levels", 102),
     pytest.param("element", "l_" + "1" * 4400 + "(x)", "index has too many digits", 1,

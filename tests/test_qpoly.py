@@ -38,13 +38,6 @@ def test_compose_and_derivative():
     assert qpoly.derivative([]) == []
 
 
-def test_eval_at():
-    p = qpoly.from_coeffs([1, -1, 1])
-    assert qpoly.eval_at(p, 2) == 3
-    assert qpoly.eval_at(p, Fraction(1, 2)) == Fraction(3, 4)
-    assert qpoly.eval_at([], 9) == 0
-
-
 def test_composition_is_associative():
     rng = Random(19)
     for _ in range(15):
@@ -137,8 +130,6 @@ def test_stored_form_of_inputs():
     assert qpoly.scale([1, 2], 2.0) == [2, 4] and qpoly.scale([1], 0.25) == [Fraction(1, 4)]
     assert_stored(qpoly.scale([1, 2], 2.0))
     assert qpoly.x_power(2) == [0, 0, 1] and type(qpoly.coeff([], 3)) is int
-    assert qpoly.eval_at([Fraction(1, 2), Fraction(1, 2)], 1) == 1
-    assert type(qpoly.eval_at([Fraction(1, 2), Fraction(1, 2)], 1)) is int
 
 
 def test_json_round_trip_keeps_stored_form():

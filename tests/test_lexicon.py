@@ -77,7 +77,9 @@ def _weight(text: str, capsys) -> bool:
     return code == 0
 
 
-@pytest.mark.parametrize("text", NEAR_MISSES, ids=lambda text: ascii(text)[:20])
+@pytest.mark.parametrize(
+    "text", NEAR_MISSES, ids=lambda text: ascii(text) if len(text) < 20 else f"{len(text)} chars"
+)
 def test_each_reader_takes_only_its_own_grammar(text, capsys):
     readers = (_parser, _json(fraction_from_json), _json(integer_from_json))
     got = tuple(read(text) for read in readers) + (_weight(text, capsys),)

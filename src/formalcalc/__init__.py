@@ -46,7 +46,8 @@ def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(_import_module(f"{__name__}.{module}"), name)
+    value = globals()[name] = getattr(_import_module(f"{__name__}.{module}"), name)
+    return value  # kept as a module attribute, so later reads skip this hook
 
 
 def __dir__() -> list[str]:

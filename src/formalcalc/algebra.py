@@ -34,6 +34,7 @@ e*(e-1)*...*(e-n+1)/n!, which is a parameter polynomial when e is.
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Callable, Iterable, Mapping, Sequence
@@ -44,8 +45,7 @@ from .params import (
     ParamPoly,
     Scalar,
     Sparse,
-    _mul_into,
-    _stored,
+    _coeff_of,
     _sum_into,
     as_parampoly,
     canonical_coeff,
@@ -215,13 +215,21 @@ _ZERO = Exponent()
 
 def falling_row(exponent: "Exponent | Scalar", order: int) -> tuple[int, list[Coeff]]:
     """(den, [den * e*(e-1)*...*(e-j+1) for j <= order]), every entry integer-valued:
-    den = q^order for the denominator q of e's constant divides falling factorial j."""
+    den = q^order for the denominator q of e's constant divides falling factorial j.
+    On packed keys: entry j+1 is entry j times the integer factor q*e - q*j, over q."""
     e = Exponent.of(exponent)
-    den, p = e.const.denominator**order, e.to_parampoly()
-    row: list[Coeff] = [den]
+    q, a = e.const.denominator, e.const.numerator
+    lin = [(key, q * m) for key, m in e.to_parampoly()._terms.items() if key]
+    row: list[Coeff] = [q**order]
+    terms = {0: row[0]}
     for j in range(order):
-        row.append(canonical_coeff(row[-1] * (p - j)))
-    return den, row
+        acc: dict[int, int] = {}
+        for key, v in terms.items():
+            for step, m in ((0, a - q * j), *lin):
+                acc[key + step] = acc.get(key + step, 0) + v * m
+        row.append(value := _coeff_of({key: v // q for key, v in acc.items()} if q != 1 else acc))
+        terms = value._terms if type(value) is ParamPoly else {0: value}
+    return row[0], row
 
 
 def binom(exponent: "Exponent | Scalar", n: int) -> ParamPoly:
@@ -428,7 +436,8 @@ class YSeries:
     W. F. Keigher, Comm. Algebra 25, 1997): an integer ``den >= 1`` and
     integer-valued numerators ``N_k = k! * den * c_k``.  For exp(yD) a,
     N_k = D^k(den * a); a product is the Leibniz convolution
-    ``sum_i binom(k, i) A_i B_(k-i)`` over ``den_a * den_b``.  ``coefficient``
+    ``sum_i binom(k, i) A_i B_(k-i)`` over ``den_a * den_b``, in one flat pass
+    on packed parameter keys, each output value cleaned once.  ``coefficient``
     divides once, when read.  ``YSeries(coeffs)`` takes ordinary coefficients,
     ``YSeries.divided(numerators, den)`` the divided-power form.
     """
@@ -515,15 +524,22 @@ class YSeries:
 
     def __mul__(self, other: object) -> YSeries:
         if isinstance(other, YSeries):
-            a, b = self._num, other._num
+            n = min(len(self._num), len(other._num))
+            a, b = _packed(self._num[:n]), _packed(other._num[:n])
             out: list[Element] = []
-            for k in range(min(len(a), len(b))):
-                acc: dict[Monomial, Coeff] = {}
+            for k in range(n):
+                acc: dict[Monomial, dict[int, Scalar]] = defaultdict(dict)
                 for i in range(k + 1):
-                    ta, tb = a[i]._terms, b[k - i]._terms
-                    if ta and tb:
-                        _mul_into(acc, ta, tb, Element._key_mul, comb(k, i))
-                out.append(Element._of(_stored(acc)))
+                    scale = comb(k, i)
+                    for ma, ca in a[i]:
+                        ca = [(ka, va * scale) for ka, va in ca]
+                        for mb, cb in b[k - i]:
+                            raw = acc[ma * mb]
+                            for ka, va in ca:
+                                for kb, vb in cb:
+                                    key = ka + kb
+                                    raw[key] = raw.get(key, 0) + va * vb
+                out.append(Element._of({m: c for m, raw in acc.items() if (c := _coeff_of(raw))}))
             return YSeries._of(out, self._den * other._den)
         o = Element._coerce(other)
         if o is None:
@@ -541,6 +557,12 @@ class YSeries:
 
     def __repr__(self) -> str:
         return f"YSeries(order={self.order}: {self})"
+
+
+def _packed(num: list[Element]) -> list[list[tuple[Monomial, Iterable]]]:
+    """Each numerator's terms as (monomial, packed ``(key, value)`` pairs of its value)."""
+    return [[(m, c._terms.items() if type(c) is ParamPoly else ((0, c),)) for m, c in n.items()]
+            for n in num]
 
 
 def _sum_series(series: Sequence[YSeries]) -> YSeries:

@@ -39,7 +39,9 @@ built, used and not kept.
 The formula builds its numerators with integer coefficients, from
 ``falling_row`` and integer weights.  So it wraps them with ``YSeries._of``
 as they are, and never pays for ``_cleared``'s search for a common
-denominator, which would always find 1.
+denominator, which would always find 1.  Nor does it multiply a ParamPoly
+per chain: a chain's value is the packed terms of its ``falling_row`` entry
+times the weight, already in stored form and wrapped once.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from math import prod
 
 from .algebra import Element, Exponent, Monomial, YSeries, _sum_series, falling_row
 from .combinatorics import _descending_chains, signed_esym, stirling1, stirling_chain
-from .params import Coeff, Scalar
+from .params import Coeff, ParamPoly, Scalar
 
 FORMS = ("stirling", "chain", "symmetric")
 
@@ -122,9 +124,10 @@ def iterated_log_series(
     for k in range(order + 1):
         terms: dict[Monomial, Coeff] = {}
         for lower, jn, weight in _skeleton(n, k, form):
-            c = falls[jn]
-            if c:  # the chains are distinct, and so are their monomials
-                terms[Monomial._from_canonical(lower + tops[jn])] = c * weight
+            c = falls[jn]  # an int, or a ParamPoly whose packed terms times an int stay stored
+            if type(c) is ParamPoly or c:  # the chains are distinct, and so are their monomials
+                terms[Monomial._from_canonical(lower + tops[jn])] = c * weight if type(c) is int else (
+                    ParamPoly._of({key: v * weight for key, v in c._terms.items()}))
         num.append(Element._of(terms))
     return YSeries._of(num, den)
 
@@ -153,10 +156,11 @@ def closed_form_series(a: Element, order: int, form: str = "stirling") -> YSerie
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    terms = [YSeries.zero(order)]
+    terms = []
     for mono, coeff in a.items():
-        term = YSeries.of_element(Element.const(coeff), order)
-        for index, e in mono.powers:
-            term = term * iterated_log_series(index, e, order, form)
-        terms.append(term)
-    return _sum_series(terms)
+        term = None  # the coefficient scales the first factor, which has the fewest terms
+        for index, e in mono:
+            series = iterated_log_series(index, e, order, form)
+            term = series * coeff if term is None else term * series
+        terms.append(YSeries.of_element(coeff, order) if term is None else term)
+    return terms[0] if len(terms) == 1 else _sum_series(terms or [YSeries.zero(order)])

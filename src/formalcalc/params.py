@@ -46,8 +46,11 @@ ParamPoly).  One rule keeps them so: sum raw, with ``_sum_into`` or
 ``_mul_into``, then clean once with ``_stored``, which drops zeros, makes
 integral Fractions ``int`` and demotes constant ParamPolys.  ``_sum_into``
 is the one accumulator of terms (parsed runs, series sums, ``Exponent``
-linear parts and Faà di Bruno keys too), except in the derivation kernel's
-fused pass (``derivations._Kernel``).
+linear parts and Faà di Bruno keys too), except in two passes that add raw
+packed coefficients ``{packed key: int|Fraction}``, so no ParamPoly per term:
+the flat passes of ``YSeries.__mul__`` and ``falling_row`` (``algebra``),
+which clean each with ``_coeff_of``, the one cleaner of such coefficients,
+and the derivation kernel's fused pass (``derivations._Kernel``).
 """
 
 from __future__ import annotations
@@ -129,12 +132,10 @@ def _sum_into(acc: dict, pairs: Iterable[tuple[Hashable, Coeff]]) -> dict:
     return acc
 
 
-def _mul_into(acc: dict, ta: dict, tb: dict, key_mul: Callable, scale: int = 1) -> dict:
-    """acc += scale * ta * tb, raw, where ``key_mul`` multiplies two keys; returns acc."""
+def _mul_into(acc: dict, ta: dict, tb: dict, key_mul: Callable) -> dict:
+    """acc += ta * tb, raw, where ``key_mul`` multiplies two keys; returns acc."""
     get = acc.get
     for ka, ca in ta.items():
-        if scale != 1:
-            ca = ca * scale
         for kb, cb in tb.items():
             key = key_mul(ka, kb)
             prior = get(key)
@@ -156,6 +157,25 @@ def _stored(acc: dict) -> dict:
         if value:
             out[key] = value
     return out
+
+
+def _coeff_of(raw: dict[int, Scalar]) -> Coeff:
+    """A raw packed coefficient in stored form: zeros dropped, integral Fractions
+    made ``int``, a lone constant (or 0) as a scalar, else a ParamPoly; a key past
+    the power cap, kept or not, raises OverflowError."""
+    clean, keys = {}, 0
+    for key, value in raw.items():
+        keys |= key
+        if type(value) is Fraction and value.denominator == 1:
+            value = value.numerator
+        if value:
+            clean[key] = value
+    if keys & _GUARDS:
+        raise _cap_error()
+    value = clean.get(0)
+    if value is None or len(clean) > 1:
+        return ParamPoly._of(clean) if clean else 0
+    return value
 
 
 def _load(cls: type[Sparse], terms: dict) -> Sparse:
